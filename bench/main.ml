@@ -20,8 +20,6 @@ let wk = W.Seeded.standard ()
 
 let space = wk.W.Seeded.space
 
-let points = wk.W.Seeded.points
-
 let tagged = W.Seeded.tagged_points wk
 
 let index = Zindex.of_points ~leaf_capacity:20 space tagged
@@ -163,37 +161,33 @@ let bench_btree =
         (Staged.stage (fun () -> Zindex.of_points ~leaf_capacity:20 space tagged));
     ]
 
-(* {1 Parallel execution} *)
+(* {1 Parallel execution}
+
+   The parallel path the server runs: the seeded R-S overlap plan under
+   [Plan.run_in_pool], whose z-merge shards over the pool through
+   [Par_spatial_join] (a 1-domain pool runs the sequential merge). *)
 
 module Pool = Sqp_parallel.Pool
-module Par_rs = Sqp_parallel.Par_range_search
 module Par_join = Sqp_parallel.Par_spatial_join
+module R = Sqp_relalg
 
-let pprep = Par_rs.prepare space tagged
-
-(* The speedup workload: a batch of seeded random boxes over the
-   5000-point dataset, answered one task per query. *)
-let par_boxes = wk.W.Seeded.query_boxes
+let overlap_plan = Sqp_server.Catalog.overlap_plan (Sqp_server.Catalog.of_seeded wk)
 
 let bench_parallel pool =
   Test.make_grouped ~name:"parallel"
     [
-      Test.make ~name:"range-sequential"
-        (Staged.stage (fun () -> Sqp_core.Range_search.search_skip prep query));
-      Test.make ~name:"range-sharded"
-        (Staged.stage (fun () -> Par_rs.search pool pprep query));
       Test.make ~name:"join-sequential"
         (Staged.stage (fun () -> Sqp_core.Zmerge.pairs join_l join_r));
       Test.make ~name:"join-sharded"
         (Staged.stage (fun () -> Par_join.pairs pool join_l join_r));
     ]
 
-let time_batch pool =
-  ignore (Par_rs.search_batch pool pprep par_boxes) (* warm-up *);
+let time_overlap pool =
+  ignore (R.Plan.run_in_pool pool overlap_plan) (* warm-up *);
   let best = ref infinity in
   for _ = 1 to 5 do
     let t0 = Unix.gettimeofday () in
-    ignore (Par_rs.search_batch pool pprep par_boxes);
+    ignore (R.Plan.run_in_pool pool overlap_plan);
     best := Float.min !best (Unix.gettimeofday () -. t0)
   done;
   !best
@@ -202,14 +196,16 @@ let speedup_table () =
   let cores = Domain.recommended_domain_count () in
   let rows =
     List.map
-      (fun domains -> (domains, Pool.with_pool ~domains time_batch))
+      (fun domains -> (domains, Pool.with_pool ~domains time_overlap))
       [ 1; 2; 4; 8 ]
   in
   let base = List.assoc 1 rows in
+  let objects = List.length wk.W.Seeded.left_objects in
   print_newline ();
   Printf.printf
-    "Parallel range-search throughput (%d queries over %d points, %d core%s)\n"
-    (Array.length par_boxes) (Array.length points) cores
+    "Sharded spatial join (%dx%d overlap plan, %d+%d elements, %d core%s)\n"
+    objects (List.length wk.W.Seeded.right_objects) (List.length join_l)
+    (List.length join_r) cores
     (if cores = 1 then "" else "s");
   print_endline "=====================================================================";
   List.iter
@@ -218,15 +214,18 @@ let speedup_table () =
         (if domains = 1 then " " else "s")
         (seconds *. 1e3) (base /. seconds))
     rows;
-  if cores = 1 then
-    print_endline
-      "  (single core: extra domains add GC-synchronization overhead and no\n\
-      \   parallelism, so speedups < 1x here; >1x needs a multi-core machine)";
+  if cores < 8 then
+    Printf.printf
+      "  (%d core%s: domains beyond the core count add GC-synchronization\n\
+      \   overhead and no parallelism)\n"
+      cores
+      (if cores = 1 then "" else "s");
   let oc = open_out "BENCH_parallel.json" in
   Printf.fprintf oc
-    "{\n  \"workload\": \"range-search batch\",\n  \"queries\": %d,\n  \
-     \"points\": %d,\n  \"cores\": %d,\n  \"runs\": [\n%s\n  ]\n}\n"
-    (Array.length par_boxes) (Array.length points) cores
+    "{\n  \"workload\": \"sharded spatial join (overlap plan)\",\n  \
+     \"left_elements\": %d,\n  \"right_elements\": %d,\n  \"cores\": %d,\n  \
+     \"runs\": [\n%s\n  ]\n}\n"
+    (List.length join_l) (List.length join_r) cores
     (String.concat ",\n"
        (List.map
           (fun (domains, seconds) ->
@@ -246,7 +245,6 @@ let speedup_table () =
    chrome://tracing or ui.perfetto.dev for the flame chart). *)
 
 module Obs = Sqp_obs
-module R = Sqp_relalg
 
 let obs_report () =
   let tracer = Obs.Trace.create ~capacity:4096 Obs.Trace.Collect in
@@ -298,22 +296,28 @@ let obs_report () =
   print_endline "  -> BENCH_obs.json, BENCH_trace.json";
   Obs.Trace.set_global Obs.Trace.null
 
-(* Fast correctness smoke for CI: the parallel drivers must agree with
-   the sequential paths on a slice of the bench workload. *)
+(* Fast correctness smoke for CI: the sharded join must agree with the
+   sequential merge exactly (pairs and their order) at every shard
+   depth, and the overlap plan must return the same rows in a pool as
+   sequentially. *)
 let quick_smoke () =
   let failures = ref 0 in
+  let shard_depths = [ 0; 1; 3; 5; 8 ] in
+  let seq_pairs = fst (Sqp_core.Zmerge.pairs join_l join_r) in
+  let seq_rows = R.Relation.tuples (R.Plan.run overlap_plan) in
   Pool.with_pool ~domains:2 (fun pool ->
-      Array.iter
-        (fun box ->
-          let seq = fst (Sqp_core.Range_search.search_skip prep box) in
-          let par = fst (Par_rs.search pool pprep box) in
-          if seq <> par then incr failures)
-        (Array.sub par_boxes 0 50);
-      let seq_pairs = fst (Sqp_core.Zmerge.pairs join_l join_r) in
-      let par_pairs = fst (Par_join.pairs pool join_l join_r) in
-      if seq_pairs <> par_pairs then incr failures);
+      List.iter
+        (fun shard_bits ->
+          let par_pairs = fst (Par_join.pairs ~shard_bits pool join_l join_r) in
+          if seq_pairs <> par_pairs then incr failures)
+        shard_depths;
+      let par_rows = R.Relation.tuples (R.Plan.run_in_pool pool overlap_plan) in
+      if seq_rows <> par_rows then incr failures);
   if !failures = 0 then
-    print_endline "quick smoke: parallel = sequential (50 range queries + join)"
+    Printf.printf
+      "quick smoke: parallel = sequential (sharded join at %d shard depths + \
+       overlap plan)\n"
+      (List.length shard_depths)
   else begin
     Printf.printf "quick smoke: %d mismatches\n" !failures;
     exit 1
@@ -328,7 +332,7 @@ let quick_smoke () =
    ratio is the point.  Writes BENCH_kernels.json. *)
 let kernels_table ~quick () =
   let reps = if quick then 3 else 7 in
-  let n_boxes = if quick then 40 else Array.length par_boxes in
+  let n_boxes = if quick then 40 else Array.length wk.W.Seeded.query_boxes in
   (* Best-of-[reps], but at least [min_span] seconds of repetitions:
      sub-millisecond rows need far more than [reps] samples before the
      minimum settles on this (noisy) class of machine. *)
@@ -353,7 +357,7 @@ let kernels_table ~quick () =
     | Some p -> p
     | None -> failwith "bench: seeded z values must pack"
   in
-  let boxes = Array.sub par_boxes 0 n_boxes in
+  let boxes = Array.sub wk.W.Seeded.query_boxes 0 n_boxes in
   let schema_of name z =
     R.Schema.make [ (name, R.Value.TInt); (z, R.Value.TZval) ]
   in
@@ -520,8 +524,18 @@ let serving_table () =
   close_out oc;
   print_endline "  -> BENCH_serving.json"
 
+let known_flags = [ "--quick"; "--kernels"; "--obs"; "--no-decompose-cache" ]
+
 let () =
-  let has flag = Array.exists (String.equal flag) Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun a -> not (List.mem a known_flags)) args with
+  | [] -> ()
+  | unknown :: _ ->
+      Printf.eprintf "bench: unknown argument %s\nusage: %s [%s]\n" unknown
+        Sys.argv.(0)
+        (String.concat "] [" known_flags);
+      exit 2);
+  let has flag = List.mem flag args in
   if has "--no-decompose-cache" then Z.Decompose.set_cache_enabled false;
   if has "--kernels" then kernels_table ~quick:(has "--quick") ()
   else if has "--quick" then quick_smoke ()

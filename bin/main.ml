@@ -1354,7 +1354,7 @@ let bench_optimizer_cmd =
 (* Compression benchmark: front-coded pages against the fixed-width
    baseline at the same byte budget — entries per page, data pages
    touched per range query, on-disk dump sizes (v3 vs v2), and the
-   latency guardrails on the range and kernel-join paths. *)
+   latency guardrail on the range path. *)
 let bench_compress_cmd =
   let module W = Sqp_workload in
   let module Zi = Sqp_btree.Zindex in
@@ -1418,40 +1418,13 @@ let bench_compress_cmd =
     let v3_bytes = file_size v3_path and v2_bytes = file_size v2_path in
     Sys.remove v3_path;
     Sys.remove v2_path;
-    (* Latency guardrails: the compressed layout must not slow the range
-       path, and the streaming runs sweep must hold its own against the
-       flat-array kernel. *)
+    (* Latency guardrail: the compressed layout must not slow the range
+       path. *)
     let range_ms idx =
       median_ms (fun () ->
           List.iter (fun b -> ignore (Zi.range_search idx b)) boxes)
     in
     let range_comp_ms = range_ms comp and range_fixed_ms = range_ms fixed in
-    let l_elts, r_elts = W.Seeded.join_elements wk in
-    let comparisons = ref 0 in
-    let join =
-      match
-        ( Sqp_core.Zseq.of_list ~comparisons l_elts,
-          Sqp_core.Zseq.of_list ~comparisons r_elts )
-      with
-      | Some ls, Some rs ->
-          let lr = Sqp_core.Zseq.to_runs ls and rr = Sqp_core.Zseq.to_runs rs in
-          let flat_pairs, _ = Sqp_core.Zseq.pairs ~comparisons ls rs in
-          let runs_pairs, _ = Sqp_core.Zseq.pairs_runs ~comparisons lr rr in
-          let flat_ms =
-            median_ms (fun () -> Sqp_core.Zseq.pairs ~comparisons ls rs)
-          in
-          let runs_ms =
-            median_ms (fun () -> Sqp_core.Zseq.pairs_runs ~comparisons lr rr)
-          in
-          let z_bytes =
-            Sqp_core.Zseq.runs_bytes lr + Sqp_core.Zseq.runs_bytes rr
-          in
-          let z_raw =
-            Sqp_core.Zseq.runs_raw_bytes lr + Sqp_core.Zseq.runs_raw_bytes rr
-          in
-          Some (flat_ms, runs_ms, flat_pairs = runs_pairs, z_bytes, z_raw)
-      | _ -> None
-    in
     Printf.printf
       "leaf density (budget %dB): %.1f entries/page front-coded vs %.1f \
        fixed-width (%.2fx, %d vs %d leaves)\n"
@@ -1466,16 +1439,6 @@ let bench_compress_cmd =
       range_comp_ms range_fixed_ms;
     Printf.printf "on disk: v3 %d pages / %d bytes vs v2 %d pages / %d bytes\n"
       v3_pages v3_bytes v2_pages v2_bytes;
-    (match join with
-    | Some (flat_ms, runs_ms, same, zb, zr) ->
-        Printf.printf
-          "kernel join: flat %.3f ms vs runs %.3f ms (pairs %s); z bytes %d vs \
-           %d raw (%.2fx)\n"
-          flat_ms runs_ms
-          (if same then "identical" else "MISMATCH")
-          zb zr
-          (float_of_int zr /. float_of_int (max 1 zb))
-    | None -> print_endline "kernel join: skipped (z values exceed Zpacked)");
     let oc = open_out json_path in
     Printf.fprintf oc
       "{\n\
@@ -1490,7 +1453,6 @@ let bench_compress_cmd =
       \                    \"ms_compressed\": %.4f, \"ms_fixed\": %.4f },\n\
       \  \"on_disk\": { \"v3_pages\": %d, \"v3_bytes\": %d, \"v2_pages\": %d, \
        \"v2_bytes\": %d },\n\
-       %s\
       \  \"density_ratio_at_least_1_5\": %b,\n\
       \  \"fewer_pages_than_fixed\": %b\n\
        }\n"
@@ -1498,14 +1460,6 @@ let bench_compress_cmd =
       cstats.Zi.leaves (Zi.data_page_count fixed) (List.length boxes)
       !pages_comp !pages_fixed (!mismatches = 0) range_comp_ms range_fixed_ms
       v3_pages v3_bytes v2_pages v2_bytes
-      (match join with
-      | Some (flat_ms, runs_ms, same, zb, zr) ->
-          Printf.sprintf
-            "  \"kernel_join\": { \"ms_flat\": %.4f, \"ms_runs\": %.4f, \
-             \"pairs_identical\": %b,\n\
-            \                    \"z_bytes_runs\": %d, \"z_bytes_raw\": %d },\n"
-            flat_ms runs_ms same zb zr
-      | None -> "")
       (cstats.Zi.ratio >= 1.5)
       (!pages_comp < !pages_fixed);
     close_out oc;
@@ -1517,7 +1471,7 @@ let bench_compress_cmd =
        ~doc:
          "Prefix-compression benchmark: front-coded vs fixed-width pages at \
           the same byte budget (leaf density, pages per range query, v3 vs v2 \
-          dump sizes, kernel latencies); writes BENCH_compress.json.")
+          dump sizes, range latencies); writes BENCH_compress.json.")
     Term.(const run $ quick_arg $ json_arg)
 
 (* {1 Cluster: shard spawning, the router daemon, the scaling bench} *)

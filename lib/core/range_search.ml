@@ -6,12 +6,10 @@ type 'a prepared = {
   space : space;
   zs : Z.Bitstring.t array;            (* sorted *)
   pts : (Sqp_geom.Point.t * 'a) array; (* aligned with zs *)
-  pz : Z.Zpacked.t array option;
-      (* zs packed into words, when the space fits Zpacked.max_bits;
-         None sends every search down the bitstring reference path *)
   keys : int array option;
-      (* single-word keys for pz, when the whole space fits one 63-bit
-         word: the kernels then merge over flat int arrays *)
+      (* single-word keys of zs, when the whole space fits one 63-bit
+         word: the kernels then merge over flat int arrays.  None sends
+         every search down the bitstring reference path. *)
 }
 
 let prepare space points =
@@ -20,14 +18,12 @@ let prepare space points =
   in
   Array.sort (fun (a, _) (b, _) -> Z.Bitstring.compare a b) tagged;
   let zs = Array.map fst tagged in
-  let pz = if Z.Zpacked.fits_space space then Z.Zpacked.pack_array zs else None in
-  {
-    space;
-    zs;
-    pts = Array.map snd tagged;
-    pz;
-    keys = Option.bind pz Z.Zkernel.uniform_word_keys;
-  }
+  let keys =
+    if Z.Space.total_bits space <= Z.Zpacked.word_bits then
+      Option.bind (Z.Zpacked.pack_array zs) Z.Zkernel.uniform_word_keys
+    else None
+  in
+  { space; zs; pts = Array.map snd tagged; keys }
 
 let prepared_length p = Array.length p.zs
 
@@ -54,29 +50,9 @@ let box_ranges prep box =
          })
        els)
 
-(* The same scan ranges, built directly in packed form: elements of a
-   fitting space always pack, and padding is O(1) word arithmetic. *)
-let packed_ranges prep box =
-  let total = Z.Space.total_bits prep.space in
-  let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
-  let els = Z.Decompose.decompose_box prep.space ~lo ~hi in
-  Array.of_list
-    (List.map
-       (fun e ->
-         let p =
-           match Z.Zpacked.of_bitstring e with
-           | Some p -> p
-           | None -> assert false (* fits_space checked at prepare *)
-         in
-         {
-           Z.Zkernel.rlo = Z.Zpacked.pad_to p total false;
-           rhi = Z.Zpacked.pad_to p total true;
-         })
-       els)
-
-(* And as bare word keys for narrow spaces: two flat int arrays, no
-   intermediate packed pairs — per-query range construction is a large
-   share of a cache-warm search, so it is kept allocation-lean. *)
+(* The same scan ranges as bare word keys for narrow spaces: two flat
+   int arrays — per-query range construction is a large share of a
+   cache-warm search, so it is kept allocation-lean. *)
 let key_ranges prep box =
   let total = Z.Space.total_bits prep.space in
   let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
@@ -89,7 +65,7 @@ let key_ranges prep box =
       let p =
         match Z.Zpacked.of_bitstring e with
         | Some p -> p
-        | None -> assert false (* narrow spaces a fortiori fit *)
+        | None -> assert false (* narrow spaces always pack *)
       in
       let lo_k, hi_k = Z.Zkernel.element_keys ~total p in
       klo.(!j) <- lo_k;
@@ -188,19 +164,15 @@ let search_plain_reference prep box =
   observed "range_search.plain_reference" search_plain_reference_impl prep box
 
 let search_plain_impl prep box =
-  match prep.pz with
+  match prep.keys with
   | None -> search_plain_reference_impl prep box
-  | Some pz -> (
+  | Some ks -> (
       match clip prep box with
       | None -> ([], no_counters)
       | Some box ->
           let acc = ref [] in
           let emit i = acc := prep.pts.(i) :: !acc in
-          let c =
-            match prep.keys with
-            | Some ks -> Z.Zkernel.range_plain_keys ks (key_ranges prep box) emit
-            | None -> Z.Zkernel.range_plain pz (packed_ranges prep box) emit
-          in
+          let c = Z.Zkernel.range_plain_keys ks (key_ranges prep box) emit in
           (List.rev !acc, counters_of_kernel c))
 
 let search_plain prep box = observed "range_search.plain" search_plain_impl prep box
@@ -280,19 +252,15 @@ let search_skip_reference prep box =
   observed "range_search.skip_reference" search_skip_reference_impl prep box
 
 let search_skip_impl prep box =
-  match prep.pz with
+  match prep.keys with
   | None -> search_skip_reference_impl prep box
-  | Some pz -> (
+  | Some ks -> (
       match clip prep box with
       | None -> ([], no_counters)
       | Some box ->
           let acc = ref [] in
           let emit i = acc := prep.pts.(i) :: !acc in
-          let c =
-            match prep.keys with
-            | Some ks -> Z.Zkernel.range_skip_keys ks (key_ranges prep box) emit
-            | None -> Z.Zkernel.range_skip pz (packed_ranges prep box) emit
-          in
+          let c = Z.Zkernel.range_skip_keys ks (key_ranges prep box) emit in
           (List.rev !acc, counters_of_kernel c))
 
 let search_skip prep box = observed "range_search.skip" search_skip_impl prep box

@@ -32,16 +32,17 @@ type counters = {
 val search_plain :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The unoptimized merge: walk both sequences entry by entry.  Runs on
-    the packed word kernel ({!Sqp_zorder.Zkernel.range_plain}) whenever
-    the space fits [Zpacked.max_bits] bits; results {e and counters} are
-    identical to {!search_plain_reference} either way. *)
+    the word-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}) when the
+    whole space fits one 63-bit word ([Space.total_bits <=
+    Zpacked.word_bits]) and on {!search_plain_reference} otherwise;
+    results {e and counters} are identical either way. *)
 
 val search_skip :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The optimized merge: when the current point z value leaves the
     current element, binary-search the other sequence ("parts of the
-    space that could not possibly contribute are skipped").  Packed
-    kernel + bitstring fallback, like {!search_plain}. *)
+    space that could not possibly contribute are skipped").  Word-key
+    kernel or bitstring reference, chosen as for {!search_plain}. *)
 
 val search_plain_reference :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters

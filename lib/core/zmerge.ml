@@ -94,23 +94,28 @@ let pairs_reference_impl left right =
 let pairs_reference left right =
   observed "zmerge.pairs_reference" pairs_reference_impl left right
 
-(* Fast path: pack both sides into word-encoded z values and run the
-   flat-array kernel sweep; output (content and order) is bit-identical
-   to the reference.  Any z value longer than Zpacked.max_bits sends the
-   whole call to the reference path. *)
+(* Fast path: word-key both sides, sort each by stable permutation and
+   sweep with the flat-array kernel; output (content and order) is
+   bit-identical to the reference.  Any z value wider than one 63-bit
+   word sends the whole call to the reference path. *)
 let pairs_impl left right =
-  let zl = Array.of_list (List.map fst left)
-  and zr = Array.of_list (List.map fst right) in
-  match (Sqp_zorder.Zpacked.pack_array zl, Sqp_zorder.Zpacked.pack_array zr) with
-  | Some pl, Some pr ->
-      let comparisons = ref 0 in
-      let l = Zseq.of_packed ~comparisons pl (Array.of_list (List.map snd left))
-      and r = Zseq.of_packed ~comparisons pr (Array.of_list (List.map snd right)) in
-      let out, st = Zseq.pairs ~comparisons l r in
-      ( out,
+  let comparisons = ref 0 in
+  let keyed side =
+    Option.bind
+      (Sqp_zorder.Zpacked.pack_array (Array.of_list (List.map fst side)))
+      (Sqp_zorder.Zkernel.sort_keyed ~comparisons)
+  in
+  match (keyed left, keyed right) with
+  | Some (perm_l, kl), Some (perm_r, kr) ->
+      let pl = Array.of_list (List.map snd left)
+      and pr = Array.of_list (List.map snd right) in
+      let out = ref [] in
+      let emit li ri = out := (pl.(perm_l.(li)), pr.(perm_r.(ri))) :: !out in
+      let st = Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kl kr emit in
+      ( List.rev !out,
         {
           pairs = st.Sqp_zorder.Zkernel.pairs;
-          items = Zseq.length l + Zseq.length r;
+          items = Array.length pl + Array.length pr;
           comparisons = !comparisons;
         } )
   | _ -> pairs_reference_impl left right

@@ -11,9 +11,9 @@ val pairs :
   (Sqp_zorder.Element.t * 'a) list ->
   (Sqp_zorder.Element.t * 'b) list ->
   ('a * 'b) list * stats
-(** Stack-based single sweep, O(n log n + output).  Runs on the packed
-    flat-array kernel ({!Sqp_zorder.Zkernel} over {!Zseq}) whenever every
-    z value fits [Zpacked.max_bits] bits, falling back to
+(** Stack-based single sweep, O(n log n + output).  Runs on the
+    word-key kernel ({!Sqp_zorder.Zkernel.sweep_pairs_keyed}) when every
+    z value fits one 63-bit word ([Zpacked.word_bits]) and on
     {!pairs_reference} otherwise; both paths produce the same pairs in
     the same order. *)
 

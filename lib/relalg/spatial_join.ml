@@ -144,35 +144,28 @@ let merge_reference_impl r ~zr s ~zs =
 let merge_reference r ~zr s ~zs =
   observed "spatial_join.merge_reference" (fun () -> merge_reference_impl r ~zr s ~zs)
 
-(* Fast path: both sides' z values packed into words, sorted by stable
+(* Fast path: both sides' z values word-keyed, sorted by stable
    permutation and swept with the flat-array kernel.  Tuple output —
-   content and order — is bit-identical to the reference sweep; any
-   overlong z value falls back wholesale. *)
+   content and order — is bit-identical to the reference sweep; any z
+   value wider than one 63-bit word falls back wholesale. *)
 let merge_impl r ~zr s ~zs =
   let sr = Relation.schema r and ss = Relation.schema s in
   let tr = Array.of_list (Relation.tuples r)
   and ts = Array.of_list (Relation.tuples s) in
-  let zrv = Array.map (zval_of sr zr) tr and zsv = Array.map (zval_of ss zs) ts in
-  match (Sqp_zorder.Zpacked.pack_array zrv, Sqp_zorder.Zpacked.pack_array zsv) with
-  | Some pr, Some ps ->
-      let schema = out_schema r s in
-      let comparisons = ref 0 in
-      let perm_r, kr = Sqp_zorder.Zkernel.sort_keyed ~comparisons pr
-      and perm_s, ks = Sqp_zorder.Zkernel.sort_keyed ~comparisons ps in
+  let comparisons = ref 0 in
+  let keyed schema attr tuples =
+    Option.bind
+      (Sqp_zorder.Zpacked.pack_array (Array.map (zval_of schema attr) tuples))
+      (Sqp_zorder.Zkernel.sort_keyed ~comparisons)
+  in
+  match (keyed sr zr tr, keyed ss zs ts) with
+  | Some (perm_r, kr), Some (perm_s, ks) ->
       let out = ref [] in
       let emit li ri =
         out := Array.append tr.(perm_r.(li)) ts.(perm_s.(ri)) :: !out
       in
-      let st =
-        match (kr, ks) with
-        | Some kr, Some ks ->
-            Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kr ks emit
-        | _ ->
-            let spr = Array.map (fun k -> pr.(k)) perm_r
-            and sps = Array.map (fun k -> ps.(k)) perm_s in
-            Sqp_zorder.Zkernel.sweep_pairs ~comparisons spr sps emit
-      in
-      ( Relation.make schema (List.rev !out),
+      let st = Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kr ks emit in
+      ( Relation.make (out_schema r s) (List.rev !out),
         {
           pairs = st.Sqp_zorder.Zkernel.pairs;
           comparisons = !comparisons;

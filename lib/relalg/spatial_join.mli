@@ -25,10 +25,10 @@ type stats = {
 
 val merge :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
-(** Runs on the packed word kernel ({!Sqp_zorder.Zkernel.sweep_pairs})
-    whenever every z value fits [Zpacked.max_bits] bits, falling back to
-    {!merge_reference} otherwise; both produce the same tuples in the
-    same order.
+(** Runs on the word-key kernel
+    ({!Sqp_zorder.Zkernel.sweep_pairs_keyed}) when every z value fits one
+    63-bit word ([Zpacked.word_bits]) and on {!merge_reference}
+    otherwise; both produce the same tuples in the same order.
     @raise Invalid_argument if attribute names of the two relations
     clash (rename first) or the z attributes hold non-[Zval] values. *)
 

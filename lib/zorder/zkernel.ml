@@ -1,15 +1,14 @@
 (* Flat-array kernels mirroring the list-based reference sweeps.  Control
    flow — and therefore counter semantics — is kept in lockstep with the
    bitstring implementations these accelerate; see the .mli notes and the
-   differential suite in test/test_zseq.ml.
+   differential suite in test/test_zkernel.ml.
 
-   Every kernel has two interchangeable loops: a generic one over packed
-   records (any length up to Zpacked.max_bits) and a "narrow" one used
-   when every value fits a single 63-bit word.  A narrow z value is
-   word-encoded as [w0 lxor min_int] — flipping the sign bit turns
-   unsigned word order into signed order — so the hot loops run over
-   plain [int array]s where a z comparison is one machine comparison and
-   a prefix test is one masked xor. *)
+   The kernels run only when every value fits a single 63-bit word.  Such
+   a "narrow" z value is word-encoded as [w0 lxor min_int] — flipping the
+   sign bit turns unsigned word order into signed order — so the hot
+   loops run over plain [int array]s where a z comparison is one machine
+   comparison and a prefix test is one masked xor.  Anything wider stays
+   on the callers' bitstring reference paths. *)
 
 module P = Zpacked
 
@@ -21,8 +20,6 @@ let narrow (z : P.t) = z.P.len <= P.word_bits
 (* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
    unspecified, hence the guard.  Mirrors Zpacked's private helper. *)
 let mask_first n = if n = 0 then 0 else -1 lsl (P.word_bits - n)
-
-let word_key = key
 
 let element_keys ~total (z : P.t) =
   if total > P.word_bits || z.P.len > total then
@@ -145,26 +142,6 @@ let radix_sort a ~nbits =
   done;
   if !src != a then Array.blit !src 0 a 0 n
 
-(* Single-word encoding of (z value, length, input index): value bits
-   zero-padded to the longest length in the batch, then a 6-bit length,
-   then the index.  Field-by-field order of the encoding = padded-word
-   order, length on ties, input order last — exactly z order made stable
-   — so sorting the encoded ints IS the stable z sort.  Large batches go
-   through the radix sort and perform {e zero} comparisons (the counter
-   stays honest: nothing was compared). *)
-let sort_perm_encoded ~comparisons zs ~maxlen ~ib =
-  let n = Array.length zs in
-  let enc =
-    Array.init n (fun i ->
-        let z = zs.(i) in
-        ((z.P.w0 lsr (P.word_bits - maxlen)) lsl (6 + ib))
-        lor (z.P.len lsl ib) lor i)
-  in
-  if n < 64 then sort_ints ~comparisons enc
-  else radix_sort enc ~nbits:(maxlen + 6 + ib);
-  let mask = (1 lsl ib) - 1 in
-  Array.map (fun e -> e land mask) enc
-
 (* Stable mergesort of the permutation [a] by [(ks, ls)], all comparisons
    inlined int-array reads — no closure per probe, which is most of the
    win over [Array.stable_sort] on boxed values. *)
@@ -211,54 +188,28 @@ let sort_perm_narrow ~comparisons ks ls n =
   sort 0 n;
   a
 
-let sort_perm ~comparisons zs =
-  let n = Array.length zs in
-  if n = 0 then [||]
-  else if Array.for_all narrow zs then begin
-    let maxlen =
-      Array.fold_left (fun m (z : P.t) -> if z.P.len > m then z.P.len else m) 0 zs
-    in
-    let ib = bits_for (n - 1) in
-    if maxlen + 6 + ib <= 62 then
-      (* value + length + index fit one non-negative word *)
-      sort_perm_encoded ~comparisons zs ~maxlen ~ib
-    else
-      (* Word keys break all but exact-prefix ties; lengths settle those. *)
-      let ks = Array.map key zs
-      and ls = Array.map (fun (z : P.t) -> z.P.len) zs in
-      sort_perm_narrow ~comparisons ks ls n
-  end
-  else begin
-    let perm = Array.init n (fun i -> i) in
-    Array.stable_sort
-      (fun i j ->
-        incr comparisons;
-        P.compare zs.(i) zs.(j))
-      perm;
-    perm
-  end
-
 (* The sweep's working form of an all-narrow batch, already z-sorted:
    word key, length and prefix mask of each value in flat int arrays. *)
 type keyed = { kks : int array; kls : int array; kms : int array }
 
-let keyed_of_sorted zs =
-  {
-    kks = Array.map key zs;
-    kls = Array.map (fun (z : P.t) -> z.P.len) zs;
-    kms = Array.map (fun (z : P.t) -> mask_first z.P.len) zs;
-  }
-
 let sort_keyed ~comparisons zs =
   let n = Array.length zs in
-  if n = 0 then ([||], Some { kks = [||]; kls = [||]; kms = [||] })
-  else if Array.for_all narrow zs then begin
+  if not (Array.for_all narrow zs) then None
+  else if n = 0 then Some ([||], { kks = [||]; kls = [||]; kms = [||] })
+  else begin
     let maxlen =
       Array.fold_left (fun m (z : P.t) -> if z.P.len > m then z.P.len else m) 0 zs
     in
     let ib = bits_for (n - 1) in
     if maxlen + 6 + ib <= 62 then begin
-      (* Encoded sort, then decode permutation, keys, lengths and masks
+      (* Single-word encoding of (z value, length, input index): value
+         bits zero-padded to the longest length in the batch, then a 6-bit
+         length, then the index.  Field-by-field order of the encoding =
+         padded-word order, length on ties, input order last — exactly z
+         order made stable — so sorting the encoded ints IS the stable z
+         sort.  Large batches go through the radix sort and perform
+         {e zero} comparisons (the counter stays honest: nothing was
+         compared).  Permutation, keys, lengths and masks are then decoded
          from the sorted encodings in a single pass — the sweep never
          touches the boxed records again. *)
       let enc =
@@ -281,14 +232,15 @@ let sort_keyed ~comparisons zs =
         kms.(r) <- mask_first len;
         kks.(r) <- ((e lsr (6 + ib)) lsl shift) lxor min_int
       done;
-      (perm, Some { kks; kls; kms })
+      Some (perm, { kks; kls; kms })
     end
     else begin
+      (* Word keys break all but exact-prefix ties; lengths settle those. *)
       let ks = Array.map key zs
       and ls = Array.map (fun (z : P.t) -> z.P.len) zs in
       let perm = sort_perm_narrow ~comparisons ks ls n in
-      ( perm,
-        Some
+      Some
+        ( perm,
           {
             kks = Array.map (fun i -> ks.(i)) perm;
             kls = Array.map (fun i -> ls.(i)) perm;
@@ -296,84 +248,17 @@ let sort_keyed ~comparisons zs =
           } )
     end
   end
-  else (sort_perm ~comparisons zs, None)
 
 (* {1 Containment sweep} *)
 
 type sweep_stats = { pairs : int; max_stack : int }
 
-let sweep_pairs_generic ~comparisons zl zr emit =
-  let nl = Array.length zl and nr = Array.length zr in
-  let stack_l = Array.make (max 1 nl) 0 and stack_r = Array.make (max 1 nr) 0 in
-  let dl = ref 0 and dr = ref 0 in
-  let pairs = ref 0 and max_stack = ref 0 in
-  (* Pop entries that are no longer prefixes of the sweep position; like
-     the list version, the surviving top entry also costs one test. *)
-  let pop_closed zs stack depth z =
-    while
-      !depth > 0
-      && (incr comparisons;
-          not (P.is_prefix zs.(stack.(!depth - 1)) z))
-    do
-      decr depth
-    done
-  in
-  let note_depth () =
-    let d = !dl + !dr in
-    if d > !max_stack then max_stack := d
-  in
-  let arrive_left li =
-    let z = zl.(li) in
-    pop_closed zl stack_l dl z;
-    pop_closed zr stack_r dr z;
-    for s = !dr - 1 downto 0 do
-      incr pairs;
-      emit li stack_r.(s)
-    done;
-    stack_l.(!dl) <- li;
-    incr dl;
-    note_depth ()
-  in
-  let arrive_right ri =
-    let z = zr.(ri) in
-    pop_closed zl stack_l dl z;
-    pop_closed zr stack_r dr z;
-    for s = !dl - 1 downto 0 do
-      incr pairs;
-      emit stack_l.(s) ri
-    done;
-    stack_r.(!dr) <- ri;
-    incr dr;
-    note_depth ()
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < nl && !j < nr do
-    incr comparisons;
-    (* <= : on ties the left side arrives first, as in a stable sort of
-       left-then-right. *)
-    if P.compare zl.(!i) zr.(!j) <= 0 then begin
-      arrive_left !i;
-      incr i
-    end
-    else begin
-      arrive_right !j;
-      incr j
-    end
-  done;
-  while !i < nl do
-    arrive_left !i;
-    incr i
-  done;
-  while !j < nr do
-    arrive_right !j;
-    incr j
-  done;
-  { pairs = !pairs; max_stack = !max_stack }
-
-(* Same sweep, same counters, but every z is (key, len, prefix mask) in
-   three flat int arrays: the merge head is one word comparison (plus a
-   length comparison on exact-word ties) and a stack pop test is one
-   masked xor. *)
+(* The reference containment sweep (one open-element stack per side,
+   same counters), with every z as (key, len, prefix mask) in three flat
+   int arrays: the merge head is one word comparison (plus a length
+   comparison on exact-word ties) and a stack pop test is one masked xor.
+   Like the list version, the surviving top of a stack also costs one
+   test. *)
 let sweep_pairs_keyed ~comparisons l r emit =
   let kl = l.kks and ll = l.kls and ml = l.kms in
   let kr = r.kks and lr = r.kls and mr = r.kms in
@@ -444,102 +329,7 @@ let sweep_pairs_keyed ~comparisons l r emit =
   done;
   { pairs = !pairs; max_stack = !max_stack }
 
-let sweep_pairs ~comparisons zl zr emit =
-  if Array.for_all narrow zl && Array.for_all narrow zr then
-    sweep_pairs_keyed ~comparisons (keyed_of_sorted zl) (keyed_of_sorted zr) emit
-  else sweep_pairs_generic ~comparisons zl zr emit
-
-(* The same sweep over pull-based sources (e.g. [Zrun] cursors): the
-   arrays are gone, so the open-element stacks hold the z values
-   themselves (plus arrival ordinals) and grow by doubling. *)
-let sweep_pairs_stream ~comparisons next_l next_r emit =
-  let zs_l = ref (Array.make 16 P.empty) and ix_l = ref (Array.make 16 0) in
-  let zs_r = ref (Array.make 16 P.empty) and ix_r = ref (Array.make 16 0) in
-  let dl = ref 0 and dr = ref 0 in
-  let pairs = ref 0 and max_stack = ref 0 in
-  let push zs ix depth i z =
-    let cap = Array.length !zs in
-    if !depth = cap then begin
-      let zs' = Array.make (2 * cap) P.empty and ix' = Array.make (2 * cap) 0 in
-      Array.blit !zs 0 zs' 0 cap;
-      Array.blit !ix 0 ix' 0 cap;
-      zs := zs';
-      ix := ix'
-    end;
-    !zs.(!depth) <- z;
-    !ix.(!depth) <- i;
-    incr depth
-  in
-  let pop_closed zs depth z =
-    while
-      !depth > 0
-      && (incr comparisons;
-          not (P.is_prefix !zs.(!depth - 1) z))
-    do
-      decr depth
-    done
-  in
-  let note_depth () =
-    let d = !dl + !dr in
-    if d > !max_stack then max_stack := d
-  in
-  let arrive_left li z =
-    pop_closed zs_l dl z;
-    pop_closed zs_r dr z;
-    for s = !dr - 1 downto 0 do
-      incr pairs;
-      emit li !ix_r.(s)
-    done;
-    push zs_l ix_l dl li z;
-    note_depth ()
-  in
-  let arrive_right ri z =
-    pop_closed zs_l dl z;
-    pop_closed zs_r dr z;
-    for s = !dl - 1 downto 0 do
-      incr pairs;
-      emit !ix_l.(s) ri
-    done;
-    push zs_r ix_r dr ri z;
-    note_depth ()
-  in
-  let li = ref 0 and ri = ref 0 in
-  let hl = ref (next_l ()) and hr = ref (next_r ()) in
-  let take_left z =
-    arrive_left !li z;
-    incr li;
-    hl := next_l ()
-  in
-  let take_right z =
-    arrive_right !ri z;
-    incr ri;
-    hr := next_r ()
-  in
-  let continue = ref true in
-  while !continue do
-    match (!hl, !hr) with
-    | Some a, Some b ->
-        incr comparisons;
-        (* <= : on ties the left side arrives first, as in the array sweep. *)
-        if P.compare a b <= 0 then take_left a else take_right b
-    | Some a, None -> take_left a
-    | None, Some b -> take_right b
-    | None, None -> continue := false
-  done;
-  { pairs = !pairs; max_stack = !max_stack }
-
 (* {1 Range merges} *)
-
-let lower_bound ~comparisons zs ~lo ~hi z =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr comparisons;
-    if P.compare zs.(mid) z < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-type range = { rlo : P.t; rhi : P.t }
 
 type range_counters = {
   point_steps : int;
@@ -548,38 +338,6 @@ type range_counters = {
   element_jumps : int;
   comparisons : int;
 }
-
-let range_plain_generic zs ranges emit =
-  let np = Array.length zs and nb = Array.length ranges in
-  let point_steps = ref 0 and element_steps = ref 0 and comparisons = ref 0 in
-  let i = ref 0 and j = ref 0 in
-  while !i < np && !j < nb do
-    let z = zs.(!i) and r = ranges.(!j) in
-    incr comparisons;
-    if P.compare z r.rlo < 0 then begin
-      incr i;
-      incr point_steps
-    end
-    else begin
-      incr comparisons;
-      if P.compare z r.rhi > 0 then begin
-        incr j;
-        incr element_steps
-      end
-      else begin
-        emit !i;
-        incr i;
-        incr point_steps
-      end
-    end
-  done;
-  {
-    point_steps = !point_steps;
-    element_steps = !element_steps;
-    point_jumps = 0;
-    element_jumps = 0;
-    comparisons = !comparisons;
-  }
 
 (* Point z values all share one narrow length and range bounds are padded
    to that same length, so every comparison in the merge is between
@@ -618,59 +376,8 @@ let range_plain_keys ks { klo; khi } emit =
     comparisons = !comparisons;
   }
 
-let range_plain zs ranges emit = range_plain_generic zs ranges emit
-
-(* First index in [ranges] with rhi >= z. *)
-let first_live_range ~comparisons ranges z =
-  let lo = ref 0 and hi = ref (Array.length ranges) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr comparisons;
-    if P.compare ranges.(mid).rhi z < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let range_skip_generic ~i0 ~i1 zs ranges emit =
-  let nb = Array.length ranges in
-  let point_steps = ref 0 and element_steps = ref 0 in
-  let point_jumps = ref 0 and element_jumps = ref 0 in
-  let comparisons = ref 0 in
-  let i = ref i0 and j = ref 0 in
-  if i1 > i0 && nb > 0 then begin
-    (* Initial random access: position P at the box's first z value. *)
-    i := lower_bound ~comparisons zs ~lo:i0 ~hi:i1 ranges.(0).rlo;
-    incr point_jumps
-  end;
-  while !i < i1 && !j < nb do
-    let z = zs.(!i) and r = ranges.(!j) in
-    incr comparisons;
-    if P.compare z r.rlo < 0 then begin
-      (* Point is before the current element: jump P forward. *)
-      i := lower_bound ~comparisons zs ~lo:!i ~hi:i1 r.rlo;
-      incr point_jumps
-    end
-    else begin
-      incr comparisons;
-      if P.compare z r.rhi > 0 then begin
-        (* Point is past the current element: jump B forward. *)
-        j := first_live_range ~comparisons ranges z;
-        incr element_jumps
-      end
-      else begin
-        emit !i;
-        incr i;
-        incr point_steps
-      end
-    end
-  done;
-  {
-    point_steps = !point_steps;
-    element_steps = !element_steps;
-    point_jumps = !point_jumps;
-    element_jumps = !element_jumps;
-    comparisons = !comparisons;
-  }
-
+(* First index in [ks[lo, hi)] with ks.(i) >= k (binary search = random
+   access). *)
 let lower_bound_key ~comparisons ks ~lo ~hi k =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
@@ -680,6 +387,7 @@ let lower_bound_key ~comparisons ks ~lo ~hi k =
   done;
   !lo
 
+(* First range index with khi >= k. *)
 let first_live_key ~comparisons khi k =
   let lo = ref 0 and hi = ref (Array.length khi) in
   while !lo < !hi do
@@ -689,26 +397,29 @@ let first_live_key ~comparisons khi k =
   done;
   !lo
 
-let range_skip_keys_loop ~i0 ~i1 ks { klo; khi } emit =
-  let nb = Array.length klo in
+let range_skip_keys ks { klo; khi } emit =
+  let np = Array.length ks and nb = Array.length klo in
   let point_steps = ref 0 and element_steps = ref 0 in
   let point_jumps = ref 0 and element_jumps = ref 0 in
   let comparisons = ref 0 in
-  let i = ref i0 and j = ref 0 in
-  if i1 > i0 && nb > 0 then begin
-    i := lower_bound_key ~comparisons ks ~lo:i0 ~hi:i1 klo.(0);
+  let i = ref 0 and j = ref 0 in
+  if np > 0 && nb > 0 then begin
+    (* Initial random access: position P at the box's first z value. *)
+    i := lower_bound_key ~comparisons ks ~lo:0 ~hi:np klo.(0);
     incr point_jumps
   end;
-  while !i < i1 && !j < nb do
+  while !i < np && !j < nb do
     let k = ks.(!i) in
     incr comparisons;
     if k < klo.(!j) then begin
-      i := lower_bound_key ~comparisons ks ~lo:!i ~hi:i1 klo.(!j);
+      (* Point is before the current element: jump P forward. *)
+      i := lower_bound_key ~comparisons ks ~lo:!i ~hi:np klo.(!j);
       incr point_jumps
     end
     else begin
       incr comparisons;
       if k > khi.(!j) then begin
+        (* Point is past the current element: jump B forward. *)
         j := first_live_key ~comparisons khi k;
         incr element_jumps
       end
@@ -726,11 +437,3 @@ let range_skip_keys_loop ~i0 ~i1 ks { klo; khi } emit =
     element_jumps = !element_jumps;
     comparisons = !comparisons;
   }
-
-let range_skip ?(i0 = 0) ?i1 zs ranges emit =
-  let i1 = match i1 with Some i1 -> i1 | None -> Array.length zs in
-  range_skip_generic ~i0 ~i1 zs ranges emit
-
-let range_skip_keys ?(i0 = 0) ?i1 ks ranges emit =
-  let i1 = match i1 with Some i1 -> i1 | None -> Array.length ks in
-  range_skip_keys_loop ~i0 ~i1 ks ranges emit

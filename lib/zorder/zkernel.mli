@@ -1,26 +1,21 @@
-(** Index-based merge kernels over packed z values.
+(** Index-based merge kernels over word-encoded z values.
 
-    The inner loops shared by [Zmerge], [Range_search] and
-    [Spatial_join]'s packed fast paths: flat-array, allocation-free per
-    step, with the same control flow (and hence the same exact work
-    counters, where the reference documents them) as the list-based
-    bitstring implementations they mirror.  All functions take a
-    [comparisons] accumulator that is incremented once per z comparison
-    or prefix test actually performed.
+    The inner loops behind the fast paths of [Zmerge], [Range_search] and
+    [Spatial_join]: flat-array, allocation-free per step, with the same
+    control flow (and hence the same exact work counters, where the
+    reference documents them) as the list-based bitstring implementations
+    they mirror.  All functions take or return a [comparisons] count that
+    is incremented once per z comparison or prefix test actually
+    performed.
 
-    Each kernel switches transparently between a generic loop over packed
-    records and a {e narrow} loop used when every value fits one 63-bit
-    word (spaces up to [total_bits <= Zpacked.word_bits], e.g. any 2-D
-    space of depth 31 or less).  Narrow values are word-encoded as
-    sign-flipped integers whose native order is z order, so the hot loops
-    run over flat [int array]s: one machine comparison per z comparison,
-    one masked xor per prefix test.  Both loops execute the same control
-    flow, so counters do not depend on which one ran. *)
-
-val sort_perm : comparisons:int ref -> Zpacked.t array -> int array
-(** Stable sorting permutation: [perm] such that
-    [zs.(perm.(0)) <= zs.(perm.(1)) <= ...], equal z values keeping their
-    input order (same tie rule as [List.sort] on a tagged list). *)
+    The kernels apply only when every value is {e narrow}: it fits one
+    63-bit word ([length <= Zpacked.word_bits], e.g. any 3-D space of
+    depth 21 or less, any 2-D space of depth 31 or less).  Narrow values
+    are word-encoded as sign-flipped integers whose native order is z
+    order, so the hot loops run over flat [int array]s: one machine
+    comparison per z comparison, one masked xor per prefix test.  Wider
+    values have exactly one other path — the callers' [*_reference]
+    bitstring implementations. *)
 
 type keyed
 (** An all-narrow batch in z-sorted order, pre-decoded to the flat
@@ -29,12 +24,13 @@ type keyed
     boxed records. *)
 
 val sort_keyed :
-  comparisons:int ref -> Zpacked.t array -> int array * keyed option
-(** {!sort_perm} fused with sweep preparation: the same stable
-    permutation plus, when every value is narrow, its {!keyed} form
-    (decoded straight from the sort's single-word encodings in one extra
-    pass).  [None] means some value was wider than one word; callers then
-    permute the packed array and use {!sweep_pairs}. *)
+  comparisons:int ref -> Zpacked.t array -> (int array * keyed) option
+(** Stable z sort fused with sweep preparation: [Some (perm, keyed)]
+    where [zs.(perm.(0)) <= zs.(perm.(1)) <= ...] (equal z values keep
+    their input order — the tie rule of [List.sort] on a tagged list) and
+    [keyed] holds the values in that order.  [None] — decided before any
+    sorting — means some value is wider than one word; callers then use
+    their bitstring reference path. *)
 
 val uniform_word_keys : Zpacked.t array -> int array option
 (** Word-encode a non-empty array of narrow z values of {e equal
@@ -42,13 +38,8 @@ val uniform_word_keys : Zpacked.t array -> int array option
     native [int] order equal to z order, or [None] if the array is empty,
     any value is longer than [Zpacked.word_bits], or lengths differ
     (equal-length is what lets the length tiebreak be dropped).  Computed
-    once at prepare time by [Range_search] / [Par_range_search] and fed
-    to {!range_plain_keys} / {!range_skip_keys}. *)
-
-val word_key : Zpacked.t -> int
-(** The word encoding of one narrow value (the scalar behind
-    {!uniform_word_keys}); only meaningful for comparing values of equal
-    length. *)
+    once at prepare time by [Range_search] and fed to
+    {!range_plain_keys} / {!range_skip_keys}. *)
 
 val element_keys : total:int -> Zpacked.t -> int * int
 (** [(klo, khi)] word keys of a decomposed element's inclusive scan range
@@ -61,45 +52,13 @@ type sweep_stats = { pairs : int; max_stack : int }
 (** [pairs]: emissions; [max_stack]: deepest combined open-element stack
     (measured after each arrival, as [Spatial_join.merge] does). *)
 
-val sweep_pairs :
-  comparisons:int ref ->
-  Zpacked.t array ->
-  Zpacked.t array ->
-  (int -> int -> unit) ->
-  sweep_stats
-(** [sweep_pairs ~comparisons zl zr emit] merges the two {e sorted}
-    arrays (ties take the left side, matching a stable sort of
-    left-then-right) and sweeps with one open-element stack per side,
-    calling [emit li ri] for every containment pair — newest open element
-    first, exactly the emission order of the list sweeps. *)
-
 val sweep_pairs_keyed :
   comparisons:int ref -> keyed -> keyed -> (int -> int -> unit) -> sweep_stats
-(** {!sweep_pairs} over pre-keyed sides (from {!sort_keyed}): same sweep,
-    same counters, no per-call array extraction. *)
-
-val sweep_pairs_stream :
-  comparisons:int ref ->
-  (unit -> Zpacked.t option) ->
-  (unit -> Zpacked.t option) ->
-  (int -> int -> unit) ->
-  sweep_stats
-(** {!sweep_pairs} over pull-based sorted sources — each call to a
-    source yields the next z value or [None] at the end, so compressed
-    representations (e.g. {!Zrun} cursors via [Zseq.pairs_runs]) join
-    without materializing flat arrays first.  [emit] receives 0-based
-    arrival ordinals per side, which coincide with array indices when
-    the source reads an array.  Same emission order and counters as
-    {!sweep_pairs}. *)
-
-val lower_bound :
-  comparisons:int ref -> Zpacked.t array -> lo:int -> hi:int -> Zpacked.t -> int
-(** First index in [\[lo, hi)] with [zs.(i) >= z] (binary search; one
-    counted comparison per probe). *)
-
-type range = { rlo : Zpacked.t; rhi : Zpacked.t }
-(** One decomposed query element as its inclusive z scan range
-    ([pad_to total false] / [pad_to total true]). *)
+(** [sweep_pairs_keyed ~comparisons l r emit] merges the two sorted sides
+    (ties take the left side, matching a stable sort of left-then-right)
+    and sweeps with one open-element stack per side, calling [emit li ri]
+    with sorted positions for every containment pair — newest open
+    element first, exactly the emission order of the list sweeps. *)
 
 type range_counters = {
   point_steps : int;
@@ -109,32 +68,22 @@ type range_counters = {
   comparisons : int;
 }
 
-val range_plain : Zpacked.t array -> range array -> (int -> unit) -> range_counters
-(** Figure 5's plain two-sequence merge over the sorted point z array and
-    the ascending range array; [emit i] is called for each reported point
+type key_ranges = { klo : int array; khi : int array }
+(** The ascending scan ranges of a query, as word keys (built per query
+    with {!element_keys} — two flat int arrays).  Point z values all
+    share one narrow length and range bounds are padded to that same
+    length, so in the merges below word order alone decides every
+    comparison. *)
+
+val range_plain_keys : int array -> key_ranges -> (int -> unit) -> range_counters
+(** Figure 5's plain two-sequence merge over the sorted point keys (the
+    first argument: {!uniform_word_keys} of the sorted point array) and
+    the ascending ranges; [emit i] is called for each reported point
     index, in ascending order.  Counter-for-counter identical to
     [Range_search.search_plain_reference]. *)
 
-val range_skip :
-  ?i0:int -> ?i1:int -> Zpacked.t array -> range array -> (int -> unit) -> range_counters
-(** The skip variant: binary-search jumps over the point slice
-    [\[i0, i1)] (default: the whole array) instead of stepping, exactly
-    mirroring [Range_search.search_skip_reference] /
-    [Par_range_search.merge_slice]. *)
-
-type key_ranges = { klo : int array; khi : int array }
-(** The ascending scan ranges of a query, as word keys (built per query
-    with {!element_keys} / {!word_key} — two flat int arrays instead of
-    an array of packed pairs).  Point z values all share one narrow
-    length and range bounds are padded to that same length, so in the
-    merges below word order alone decides every comparison. *)
-
-val range_plain_keys : int array -> key_ranges -> (int -> unit) -> range_counters
-(** {!range_plain} in the narrow encoding: same control flow, same
-    counters, every comparison one machine-word comparison.  The first
-    argument is {!uniform_word_keys} of the sorted point array. *)
-
-val range_skip_keys :
-  ?i0:int -> ?i1:int -> int array -> key_ranges -> (int -> unit) -> range_counters
-(** {!range_skip} in the narrow encoding; arguments as in
+val range_skip_keys : int array -> key_ranges -> (int -> unit) -> range_counters
+(** The skip variant: binary-search jumps over the points and the ranges
+    instead of stepping, exactly mirroring
+    [Range_search.search_skip_reference]; arguments as in
     {!range_plain_keys}. *)

@@ -2,8 +2,9 @@
 
     A z value (Section 3.1 of the paper) is a variable-length bitstring;
     {!Bitstring} stores one byte-at-a-time in a [Bytes.t].  This module is
-    the hot-path representation: the same bitstring packed into an
-    unboxed-friendly record of a length plus {e two 63-bit words}, covering
+    the compact fixed-width representation — what {!Zrun}, [Live] and
+    [Persist] store, and what {!Zkernel} derives its word keys from: the
+    same bitstring packed into an unboxed-friendly record of a length plus {e two 63-bit words}, covering
     z values up to {!max_bits} = 126 bits — more than any 2-D,
     31-bits-per-axis space ever produces.  Bit [i] of the bitstring
     (MSB-first, [0 <= i < len]) lives at bit [62 - i] of [w0] for [i < 63]
@@ -31,8 +32,9 @@ type t = private { len : int; w0 : int; w1 : int }
 
 val word_bits : int
 (** 63: bits per word.  Values no longer than this live entirely in [w0]
-    — the {!Zkernel} loops specialise on it ("narrow" values compare with
-    a single machine-word comparison). *)
+    — the only values the {!Zkernel} merge loops accept ("narrow" values
+    compare with a single machine-word comparison); wider ones take the
+    callers' bitstring reference paths. *)
 
 val max_bits : int
 (** 126: the longest representable z value. *)
@@ -111,8 +113,9 @@ val append_bytes : t -> bytes:string -> pos:int -> nbits:int -> t
 
 val fits_space : Space.t -> bool
 (** Whether every z value of the space (up to [total_bits]) packs, i.e.
-    [Space.total_bits space <= max_bits].  The fallback rule: operators
-    test this once per query/prepare and stay on [Bitstring] when false. *)
+    [Space.total_bits space <= max_bits].  The fallback rule for the
+    stores built on this module ([Live], [Persist]): test this once and
+    stay on [Bitstring] when false. *)
 
 val shuffle : Space.t -> int array -> t
 (** Bit interleaving straight into the packed words; agrees with

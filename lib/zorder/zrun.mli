@@ -30,9 +30,8 @@
     [Space.total_bits] long), so per-entry length bytes are elided —
     this is what pushes the compression ratio past the 1.5x bar.
 
-    Consumers: v3 {!Sqp_btree.Persist} data pages, [Live] checkpoint
-    base chunks, and the [Zseq] run representation feeding the
-    {!Zkernel} streaming sweeps. *)
+    Consumers: v3 {!Sqp_btree.Persist} data pages and [Live] checkpoint
+    base chunks. *)
 
 type t
 (** An immutable parsed run; a view into its backing string. *)

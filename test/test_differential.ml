@@ -3,10 +3,10 @@
    One seeded harness generates random point sets and query boxes, and
    every range-search engine in the repository must agree on every query:
    Linear_scan (the trivial oracle), the in-memory merges (plain and
-   skip), the zkd B+-tree (all four strategies), the bucket kd-tree, and
-   the new domain-parallel driver.  Likewise the parallel spatial join
-   must match the sequential containment merge exactly (including order)
-   and the nested-loop oracle as a multiset. *)
+   skip), the zkd B+-tree (all four strategies) and the bucket kd-tree.
+   The parallel spatial join — which is also how a parallel plan answers
+   a range query — must match the sequential containment merge exactly
+   (including order) and the nested-loop oracle as a multiset. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
@@ -28,14 +28,13 @@ let random_box rng side =
   let y1 = W.Rng.int rng side and y2 = W.Rng.int rng side in
   Sqp_geom.Box.make ~lo:[| min x1 x2; min y1 y2 |] ~hi:[| max x1 x2; max y1 y2 |]
 
-let range_case ~name ~dataset ~depth ~n ~queries ~seed pool =
+let range_case ~name ~dataset ~depth ~n ~queries ~seed =
   let space = Z.Space.make ~dims:2 ~depth in
   let side = Z.Space.side space in
   let rng = W.Rng.create ~seed in
   let pts = W.Datagen.with_ids (W.Datagen.generate rng dataset ~side ~n) in
   let linear = Sqp_kdtree.Linear_scan.build ~page_capacity:20 pts in
   let prep = RS.prepare space pts in
-  let pprep = Par.Par_range_search.prepare space pts in
   let index = Zindex.of_points ~leaf_capacity:20 space pts in
   let kd = Sqp_kdtree.Paged_kdtree.build ~page_capacity:20 pts in
   let qrng = W.Rng.create ~seed:(seed + 1) in
@@ -52,9 +51,6 @@ let range_case ~name ~dataset ~depth ~n ~queries ~seed pool =
         ("zkd-bigmin", canon (fst (Zindex.range_search ~strategy:Zindex.Bigmin index box)));
         ("zkd-scan", canon (fst (Zindex.range_search ~strategy:Zindex.Scan index box)));
         ("paged-kdtree", canon (fst (Sqp_kdtree.Paged_kdtree.range_search kd box)));
-        ("par-sharded", canon (fst (Par.Par_range_search.search pool pprep box)));
-        ( "par-sharded-deep",
-          canon (fst (Par.Par_range_search.search ~shard_bits:5 pool pprep box)) );
       ]
     in
     List.iter
@@ -66,19 +62,16 @@ let range_case ~name ~dataset ~depth ~n ~queries ~seed pool =
   done
 
 let test_range_uniform () =
-  Par.Pool.with_pool ~domains:2 (fun pool ->
-      range_case ~name:"uniform" ~dataset:W.Datagen.Uniform ~depth:6 ~n:300
-        ~queries:70 ~seed:11 pool)
+  range_case ~name:"uniform" ~dataset:W.Datagen.Uniform ~depth:6 ~n:300
+    ~queries:70 ~seed:11
 
 let test_range_clustered () =
-  Par.Pool.with_pool ~domains:3 (fun pool ->
-      range_case ~name:"clustered" ~dataset:W.Datagen.Clustered ~depth:7 ~n:300
-        ~queries:70 ~seed:22 pool)
+  range_case ~name:"clustered" ~dataset:W.Datagen.Clustered ~depth:7 ~n:300
+    ~queries:70 ~seed:22
 
 let test_range_diagonal () =
-  Par.Pool.with_pool ~domains:2 (fun pool ->
-      range_case ~name:"diagonal" ~dataset:W.Datagen.Diagonal ~depth:8 ~n:300
-        ~queries:60 ~seed:33 pool)
+  range_case ~name:"diagonal" ~dataset:W.Datagen.Diagonal ~depth:8 ~n:300
+    ~queries:60 ~seed:33
 
 (* The paper's extreme shapes: degenerate, full-space and border-hugging
    query boxes, against every engine. *)
@@ -89,7 +82,6 @@ let test_range_extreme_boxes () =
   let pts = W.Datagen.with_ids (W.Datagen.uniform rng ~side ~n:250 ~dims:2) in
   let linear = Sqp_kdtree.Linear_scan.build pts in
   let prep = RS.prepare space pts in
-  let pprep = Par.Par_range_search.prepare space pts in
   let index = Zindex.of_points ~leaf_capacity:20 space pts in
   let boxes =
     [
@@ -102,38 +94,54 @@ let test_range_extreme_boxes () =
       Sqp_geom.Box.of_ranges [ (1, side - 2); (1, side - 2) ];       (* all-crossing *)
     ]
   in
-  Par.Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun box ->
-          let expected = canon (fst (Sqp_kdtree.Linear_scan.range_search linear box)) in
-          check "plain" true (canon (fst (RS.search_plain prep box)) = expected);
-          check "skip" true (canon (fst (RS.search_skip prep box)) = expected);
-          check "zkd" true (canon (fst (Zindex.range_search index box)) = expected);
-          check "par" true
-            (canon (fst (Par.Par_range_search.search pool pprep box)) = expected);
-          check "par deep" true
-            (canon (fst (Par.Par_range_search.search ~shard_bits:6 pool pprep box))
-            = expected))
-        boxes)
+  List.iter
+    (fun box ->
+      let expected = canon (fst (Sqp_kdtree.Linear_scan.range_search linear box)) in
+      check "plain" true (canon (fst (RS.search_plain prep box)) = expected);
+      check "skip" true (canon (fst (RS.search_skip prep box)) = expected);
+      check "zkd" true (canon (fst (Zindex.range_search index box)) = expected))
+    boxes
 
-(* The parallel driver's result must equal the sequential skip-merge
-   list *exactly* — same points, same z order — not just as a set. *)
+(* A parallel plan answers a range query as the sharded z-merge of the
+   point relation with the box's cover.  Its rows must equal the
+   sequential merge's *exactly* — same tuples, same order — at every
+   shard depth, and hold the skip merge's points. *)
 let test_par_range_bit_identical () =
+  let module R = Sqp_relalg in
   let space = Z.Space.make ~dims:2 ~depth:6 in
   let side = Z.Space.side space in
   let rng = W.Rng.create ~seed:7 in
   let pts = W.Datagen.with_ids (W.Datagen.uniform rng ~side ~n:400 ~dims:2) in
   let prep = RS.prepare space pts in
-  let pprep = Par.Par_range_search.prepare space pts in
+  let points =
+    R.Query.points_relation space
+      (Array.to_list (Array.map (fun (p, id) -> (id, p)) pts))
+  in
+  let ids rel =
+    List.sort compare
+      (List.map
+         (fun tu -> R.Relation.get tu (R.Relation.schema rel) "id")
+         (R.Relation.tuples rel))
+  in
   let qrng = W.Rng.create ~seed:8 in
   Par.Pool.with_pool ~domains:3 (fun pool ->
       for _ = 1 to 200 do
         let box = random_box qrng side in
-        let seq = fst (RS.search_skip prep box) in
+        let cover = R.Ops.rename [ ("z", "zb") ] (R.Query.box_relation space box) in
+        let seq, _ = R.Spatial_join.merge points ~zr:"z" cover ~zs:"zb" in
+        let skip_ids =
+          List.sort compare
+            (List.map (fun (_, id) -> R.Value.Int id) (fst (RS.search_skip prep box)))
+        in
+        if ids seq <> skip_ids then Alcotest.fail "merge rows differ from the skip merge";
         List.iter
           (fun bits ->
-            let par = fst (Par.Par_range_search.search ~shard_bits:bits pool pprep box) in
-            if par <> seq then Alcotest.failf "shard_bits %d: order or contents differ" bits)
+            let par, _ =
+              R.Spatial_join.merge_parallel ~shard_bits:bits pool points ~zr:"z" cover
+                ~zs:"zb"
+            in
+            if R.Relation.tuples par <> R.Relation.tuples seq then
+              Alcotest.failf "shard_bits %d: order or contents differ" bits)
           [ 0; 1; 3; 5; 8 ]
       done)
 

@@ -185,45 +185,53 @@ let test_stats_sum_exact () =
 
 (* {1 Determinism of the parallel drivers} *)
 
+(* A range query as the plan runs it in parallel: the point z values
+   joined with the box's cover by the sharded z-merge. *)
 let range_setup () =
   let space = Z.Space.make ~dims:2 ~depth:6 in
   let side = Z.Space.side space in
   let rng = W.Rng.create ~seed:42 in
-  let pts = W.Datagen.with_ids (W.Datagen.uniform rng ~side ~n:500 ~dims:2) in
-  let prep = Par.Par_range_search.prepare space pts in
+  let points =
+    Array.to_list
+      (Array.map
+         (fun (p, id) -> (Z.Interleave.shuffle space p, id))
+         (W.Datagen.with_ids (W.Datagen.uniform rng ~side ~n:500 ~dims:2)))
+  in
   let qrng = W.Rng.create ~seed:43 in
-  let boxes =
+  let covers =
     Array.init 60 (fun _ ->
         let x1 = W.Rng.int qrng side and x2 = W.Rng.int qrng side in
         let y1 = W.Rng.int qrng side and y2 = W.Rng.int qrng side in
-        Sqp_geom.Box.make ~lo:[| min x1 x2; min y1 y2 |]
-          ~hi:[| max x1 x2; max y1 y2 |])
+        List.map
+          (fun e -> (e, ()))
+          (Z.Decompose.decompose_box space ~lo:[| min x1 x2; min y1 y2 |]
+             ~hi:[| max x1 x2; max y1 y2 |]))
   in
-  (prep, boxes)
+  (points, covers)
 
 let test_range_deterministic_across_domains () =
-  let prep, boxes = range_setup () in
+  let points, covers = range_setup () in
   let run domains =
     Pool.with_pool ~domains (fun pool ->
-        Array.map (Par.Par_range_search.search ~shard_bits:4 pool prep) boxes)
+        Array.map (Par.Par_spatial_join.pairs ~shard_bits:4 pool points) covers)
   in
   let base = run 1 in
   List.iter
     (fun domains ->
       let got = run domains in
       Array.iteri
-        (fun i (res, ctrs) ->
-          let bres, bctrs = base.(i) in
+        (fun i (res, stats) ->
+          let bres, bstats = base.(i) in
           check "results identical across pool sizes" true (res = bres);
-          check "counters identical across pool sizes" true (ctrs = bctrs))
+          check "stats identical across pool sizes" true (stats = bstats))
         got)
     [ 2; 4 ]
 
 let test_range_deterministic_across_runs () =
   let run () =
-    let prep, boxes = range_setup () in
+    let points, covers = range_setup () in
     Pool.with_pool ~domains:3 (fun pool ->
-        Array.map (Par.Par_range_search.search pool prep) boxes)
+        Array.map (Par.Par_spatial_join.pairs pool points) covers)
   in
   check "same seed, same everything" true (run () = run ())
 
