@@ -406,9 +406,8 @@ let kernels_table ~quick () =
       ]
   in
   print_newline ();
-  Printf.printf "Packed z-value kernels vs bitstring reference (best of %d%s)\n"
-    reps
-    (if Z.Decompose.cache_enabled () then "" else ", decompose cache off");
+  Printf.printf "Packed z-value kernels vs bitstring reference (best of %d)\n"
+    reps;
   print_endline "=====================================================================";
   Printf.printf "  %-34s %12s %12s %9s\n" "kernel" "reference" "packed" "speedup";
   List.iter
@@ -463,68 +462,7 @@ let run_bechamel pool =
       Printf.printf "  %-45s %s/run   (r2 %.3f)\n" name (pretty estimate) r2)
     rows
 
-(* Closed-loop loopback serving benchmark: the same range-query batch
-   pushed through lib/server's full path (framing, admission, shared
-   pool) at increasing client counts.  Writes BENCH_serving.json.
-   [sqp bench-net] is the standalone-CLI flavour of the same loop. *)
-let serving_table () =
-  let catalog = Sqp_server.Catalog.of_seeded wk in
-  let boxes = wk.W.Seeded.query_boxes in
-  let requests_per_client = 40 in
-  print_newline ();
-  print_endline "Network serving (loopback, closed loop, 40 range queries/client)";
-  print_endline "================================================================";
-  Printf.printf "  %8s %10s %12s %14s\n" "clients" "requests" "req/s" "mean ms";
-  let rows =
-    List.map
-      (fun clients ->
-        let metrics = Obs.Metrics.create () in
-        let server = Sqp_server.Server.start ~metrics catalog in
-        let port = Sqp_server.Server.port server in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun c ->
-              Thread.create
-                (fun () ->
-                  Sqp_server.Client.with_connect ~port (fun cl ->
-                      for i = 0 to requests_per_client - 1 do
-                        let box = boxes.(((c * 97) + i) mod Array.length boxes) in
-                        match
-                          Sqp_server.Client.range_search cl
-                            ~lo:(Sqp_geom.Box.lo box) ~hi:(Sqp_geom.Box.hi box)
-                        with
-                        | Ok _ -> ()
-                        | Error e ->
-                            Printf.eprintf "serving bench: %s\n"
-                              (Sqp_server.Client.error_to_string e);
-                            exit 1
-                      done))
-                ())
-        in
-        List.iter Thread.join threads;
-        let wall = Unix.gettimeofday () -. t0 in
-        Sqp_server.Server.stop server;
-        let total = clients * requests_per_client in
-        let rps = float_of_int total /. wall in
-        let mean_ms = wall /. float_of_int total *. 1e3 *. float_of_int clients in
-        Printf.printf "  %8d %10d %12.0f %14.2f\n" clients total rps mean_ms;
-        (clients, total, wall, rps, mean_ms))
-      [ 1; 2; 4 ]
-  in
-  let oc = open_out "BENCH_serving.json" in
-  Printf.fprintf oc "{\n  \"benchmark\": \"serving_closed_loop\",\n  \"rows\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (clients, total, wall, rps, mean_ms) ->
-            Printf.sprintf
-              "    { \"clients\": %d, \"requests\": %d, \"wall_seconds\": %.4f, \
-               \"throughput_rps\": %.1f, \"mean_latency_ms\": %.3f }"
-              clients total wall rps mean_ms)
-          rows));
-  close_out oc;
-  print_endline "  -> BENCH_serving.json"
-
-let known_flags = [ "--quick"; "--kernels"; "--obs"; "--no-decompose-cache" ]
+let known_flags = [ "--quick"; "--kernels"; "--obs" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -536,7 +474,6 @@ let () =
         (String.concat "] [" known_flags);
       exit 2);
   let has flag = List.mem flag args in
-  if has "--no-decompose-cache" then Z.Decompose.set_cache_enabled false;
   if has "--kernels" then kernels_table ~quick:(has "--quick") ()
   else if has "--quick" then quick_smoke ()
   else if has "--obs" then obs_report ()
@@ -545,6 +482,5 @@ let () =
     Pool.with_pool ~domains:2 run_bechamel;
     speedup_table ();
     kernels_table ~quick:false ();
-    serving_table ();
     obs_report ()
   end

@@ -375,9 +375,10 @@ let fsck_cmd =
 (* {1 Network serving}
 
    [serve] exposes the seeded catalog over the wire protocol; [shell]
-   is the interactive/scripted client; [bench-net] a closed-loop
-   loopback load generator.  Together they are the "database server
-   interface" deployment mode of the serving tier (lib/server). *)
+   is the interactive/scripted client; [bench-chaos] a fault-injected
+   closed loop against a self-hosted server.  Together they are the
+   "database server interface" deployment mode of the serving tier
+   (lib/server); fault-free load and answer checking live in perfbench. *)
 
 let host_arg =
   Arg.(
@@ -427,14 +428,6 @@ let serve_cmd =
       & info [ "objects" ] ~docv:"N"
           ~doc:"Objects per spatial-join side in the seeded catalog.")
   in
-  let no_decompose_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-decompose-cache" ]
-          ~doc:
-            "Disable the LRU memo cache of box decompositions (escape hatch; \
-             every query then re-decomposes its box).")
-  in
   let idle_timeout_arg =
     Arg.(
       value & opt float 0.
@@ -472,9 +465,7 @@ let serve_cmd =
              chunked copy).")
   in
   let run host port parallelism max_in_flight max_queue default_deadline_ms
-      n_points n_objects no_decompose_cache idle_timeout_s frame_timeout_s
-      shard_spec live_empty =
-    if no_decompose_cache then Sqp_zorder.Decompose.set_cache_enabled false;
+      n_points n_objects idle_timeout_s frame_timeout_s shard_spec live_empty =
     let wk = Sqp_workload.Seeded.standard ~n_points ~n_objects () in
     let shard =
       Option.map
@@ -559,8 +550,7 @@ let serve_cmd =
     Term.(
       const run $ host_arg $ port_arg ~default:7477 $ parallelism_arg
       $ in_flight_arg $ queue_arg $ deadline_arg $ points_arg $ objects_arg
-      $ no_decompose_cache_arg $ idle_timeout_arg $ frame_timeout_arg
-      $ shard_arg $ live_empty_arg)
+      $ idle_timeout_arg $ frame_timeout_arg $ shard_arg $ live_empty_arg)
 
 (* The canonical join plan, as a client would send it over the wire. *)
 let join_wire_plan =
@@ -754,116 +744,50 @@ let shell_cmd =
           serve); exits 1 if any command draws an error.")
     Term.(const run $ host_arg $ port_arg ~default:7477 $ commands_arg $ deadline_arg)
 
-let bench_net_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests per client (closed loop).")
-  in
+(* Fault-injected closed loop behind the checked-in BENCH_chaos.json:
+   clients talk to a self-hosted server through a seeded faulty socket
+   shim, mixing range, join and insert frames; retries carry idempotency
+   keys, and the acked insert frames must equal the live table's
+   batch-sequence advance (a double-applied retry breaks the equation).
+   Fault-free loopback load is perfbench's job (sh perfbench/run.sh). *)
+let bench_chaos_cmd =
   let quick_arg =
     Arg.(
       value & flag
       & info [ "quick" ] ~doc:"CI smoke mode: 2 clients x 15 requests.")
   in
-  let faults_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "faults" ] ~docv:"RATE"
-          ~doc:
-            "Inject faults into every client socket at $(docv) (0..1): \
-             connection resets and EPIPEs at $(docv), EINTRs and delays at \
-             $(docv), short reads/writes at 0.2.  The workload gains insert \
-             frames, clients retry with idempotency keys, and the summary \
-             reports goodput, retries per request and reconnects (written to \
-             BENCH_chaos.json by default).")
-  in
-  let fault_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"Seed of the fault plan (deterministic per seed).")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Where to write the summary (default BENCH_server.json, or \
-             BENCH_chaos.json under --faults).")
-  in
-  let run host port clients requests quick faults fault_seed json_path =
-    let clients = if quick then 2 else clients in
-    let requests = if quick then 15 else requests in
-    let json_path =
-      match json_path with
-      | Some p -> p
-      | None -> (
-          match faults with
-          | Some _ -> "BENCH_chaos.json"
-          | None -> "BENCH_server.json")
-    in
-    (* port 0: self-host an ephemeral server so the bench is one command. *)
-    let own_server =
-      if port = 0 then
-        Some
-          (Srv.Server.start
-             ~config:{ Srv.Server.default_config with host }
-             (Srv.Catalog.of_seeded (Sqp_workload.Seeded.standard ())))
-      else None
-    in
-    let port =
-      match own_server with Some s -> Srv.Server.port s | None -> port
-    in
-    (* Exactly-once differential (self-hosted only): under faults the
-       acked insert frames must equal the live table's batch-sequence
-       advance — a double-applied retry would break the equation. *)
-    let live_seq () =
-      match own_server with
-      | Some s -> (
-          match Srv.Catalog.live (Srv.Server.catalog s) "L" with
-          | Some lv -> Some (Sqp_btree.Live.seq lv)
-          | None -> None)
-      | None -> None
-    in
-    let seq_before = live_seq () in
-    let wrap =
-      match faults with
-      | None -> None
-      | Some rate ->
-          let rate = if rate < 0. then 0. else if rate > 1. then 1. else rate in
-          Some
-            (Srv.Faulty_net.wrap
-               (Srv.Faulty_net.seeded ~p_eintr:rate ~p_short:0.2 ~p_delay:rate
-                  ~delay_s:0.0005 ~p_reset:rate ~seed:fault_seed ()))
-    in
+  let fault_rate = 0.05 and fault_seed = 42 in
+  let json_path = "BENCH_chaos.json" in
+  let run quick =
+    let clients, requests = if quick then (2, 15) else (4, 100) in
     let wk = Sqp_workload.Seeded.standard () in
+    let server = Srv.Server.start (Srv.Catalog.of_seeded wk) in
+    let port = Srv.Server.port server in
+    let live = Option.get (Srv.Catalog.live (Srv.Server.catalog server) "L") in
+    let seq_before = Sqp_btree.Live.seq live in
+    let wrap =
+      Srv.Faulty_net.wrap
+        (Srv.Faulty_net.seeded ~p_eintr:fault_rate ~p_short:0.2
+           ~p_delay:fault_rate ~delay_s:0.0005 ~p_reset:fault_rate
+           ~seed:fault_seed ())
+    in
     let boxes = wk.Sqp_workload.Seeded.query_boxes in
     let side = Sqp_zorder.Space.side wk.Sqp_workload.Seeded.space in
     let acked_inserts = Atomic.make 0 in
     let retries_total = Atomic.make 0 in
     let reconnects_total = Atomic.make 0 in
-    (* Under faults a torn first attempt is routine: give the retry loop
-       room.  Without faults keep the old fail-fast behavior. *)
-    let max_attempts = match faults with Some _ -> 100 | None -> 4 in
+    (* A torn first attempt is routine under faults: give the retry loop
+       room. *)
     let latencies_of_client c =
-      Srv.Client.with_connect ~host ~port ?wrap ~max_attempts
+      Srv.Client.with_connect ~port ~wrap ~max_attempts:100
         ~client_id:((fault_seed * 1000) + c) (fun client ->
           let lat =
             Array.init requests (fun i ->
                 let t0 = Unix.gettimeofday () in
                 let reply =
-                  if faults <> None && i mod 5 = 2 then
+                  if i mod 5 = 2 then
                     Result.map
-                      (fun (applied, _seq) ->
-                        ignore (Atomic.fetch_and_add acked_inserts 1);
-                        ignore applied)
+                      (fun _ -> Atomic.incr acked_inserts)
                       (Srv.Client.insert client ~table:"L"
                          (List.init 4 (fun j ->
                               let n = (c * 1_000_000) + (i * 100) + j in
@@ -882,7 +806,7 @@ let bench_net_cmd =
                 (match reply with
                 | Ok () -> ()
                 | Error e ->
-                    Printf.eprintf "bench-net: request failed: %s\n"
+                    Printf.eprintf "bench-chaos: request failed: %s\n"
                       (Srv.Client.error_to_string e);
                     Stdlib.exit 1);
                 Unix.gettimeofday () -. t0)
@@ -900,263 +824,64 @@ let bench_net_cmd =
     in
     List.iter Thread.join threads;
     let wall = Unix.gettimeofday () -. t0 in
-    let seq_after = live_seq () in
-    (match (faults, seq_before, seq_after) with
-    | Some _, Some before, Some after ->
-        let acked = Atomic.get acked_inserts in
-        if after - before <> acked then begin
-          Printf.eprintf
-            "bench-net: exactly-once violated: %d insert frames acked but the \
-             live table advanced %d batches\n"
-            acked (after - before);
-          Stdlib.exit 1
-        end
-    | _ -> ());
-    (match own_server with Some s -> Srv.Server.stop s | None -> ());
+    let acked = Atomic.get acked_inserts in
+    let advanced = Sqp_btree.Live.seq live - seq_before in
+    if advanced <> acked then begin
+      Printf.eprintf
+        "bench-chaos: exactly-once violated: %d insert frames acked but the \
+         live table advanced %d batches\n"
+        acked advanced;
+      Stdlib.exit 1
+    end;
+    Srv.Server.stop server;
     let latencies = Array.concat (Array.to_list results) in
     Array.sort compare latencies;
     let total = Array.length latencies in
     let pct p = latencies.(min (total - 1) (p * total / 100)) *. 1e3 in
-    let throughput = float_of_int total /. wall in
+    let lat_max = latencies.(total - 1) *. 1e3 in
+    let goodput = float_of_int total /. wall in
     let retries = Atomic.get retries_total in
     let reconnects = Atomic.get reconnects_total in
-    let retries_per_request = float_of_int retries /. float_of_int (max 1 total) in
-    (match faults with
-    | None ->
-        Printf.printf
-          "bench-net: %d clients x %d requests in %.2fs (%.0f req/s)\n\
-           latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n"
-          clients requests wall throughput (pct 50) (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3)
-    | Some rate ->
-        Printf.printf
-          "bench-net --faults %.3g (seed %d): %d clients x %d requests in %.2fs\n\
-           goodput %.0f req/s; %d retries (%.2f/request), %d reconnects; %d \
-           insert frames exactly-once\n\
-           latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n"
-          rate fault_seed clients requests wall throughput retries
-          retries_per_request reconnects (Atomic.get acked_inserts) (pct 50)
-          (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3));
-    let oc = open_out json_path in
-    (match faults with
-    | None ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"benchmark\": \"server_closed_loop\",\n\
-          \  \"clients\": %d,\n\
-          \  \"requests_per_client\": %d,\n\
-          \  \"total_requests\": %d,\n\
-          \  \"wall_seconds\": %.4f,\n\
-          \  \"throughput_rps\": %.1f,\n\
-          \  \"latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-           \"max\": %.3f }\n\
-           }\n"
-          clients requests total wall throughput (pct 50) (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3)
-    | Some rate ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"benchmark\": \"server_chaos_closed_loop\",\n\
-          \  \"fault_rate\": %.4f,\n\
-          \  \"fault_seed\": %d,\n\
-          \  \"clients\": %d,\n\
-          \  \"requests_per_client\": %d,\n\
-          \  \"total_requests\": %d,\n\
-          \  \"wall_seconds\": %.4f,\n\
-          \  \"goodput_rps\": %.1f,\n\
-          \  \"retries\": %d,\n\
-          \  \"retries_per_request\": %.3f,\n\
-          \  \"reconnects\": %d,\n\
-          \  \"insert_frames_acked\": %d,\n\
-          \  \"latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-           \"max\": %.3f }\n\
-           }\n"
-          rate fault_seed clients requests total wall throughput retries
-          retries_per_request reconnects (Atomic.get acked_inserts) (pct 50)
-          (pct 90) (pct 99)
-          (latencies.(total - 1) *. 1e3));
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-net"
-       ~doc:
-         "Closed-loop loopback benchmark against $(b,sqp serve) (or a \
-          self-hosted ephemeral server with --port 0); writes \
-          BENCH_server.json — or, with $(b,--faults), a chaos run with \
-          client-side fault injection, exactly-once retries and \
-          BENCH_chaos.json.")
-    Term.(
-      const run $ host_arg $ port_arg ~default:0 $ clients_arg $ requests_arg
-      $ quick_arg $ faults_arg $ fault_seed_arg $ json_arg)
-
-(* Mixed ingest benchmark: writer threads stream insert/delete batches
-   into the live table while reader threads run snapshot range queries
-   against it — sustained write throughput plus read-latency percentiles
-   under write pressure, the serving-tier counterpart of the
-   differential torture suite. *)
-let bench_ingest_cmd =
-  let module Rng = Sqp_workload.Rng in
-  let writers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "writers" ] ~docv:"N" ~doc:"Concurrent writer connections.")
-  in
-  let readers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "readers" ] ~docv:"N"
-          ~doc:"Concurrent reader connections issuing live range queries.")
-  in
-  let seconds_arg =
-    Arg.(
-      value & opt float 5.0
-      & info [ "seconds" ] ~docv:"S" ~doc:"Wall-clock duration of the run.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"N" ~doc:"Points per insert frame.")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 1 second, batches of 16.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_ingest.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the summary.")
-  in
-  let run host port writers readers seconds batch quick json_path =
-    let seconds = if quick then 1.0 else seconds in
-    let batch = if quick then 16 else batch in
-    let own_server =
-      if port = 0 then
-        Some
-          (Srv.Server.start
-             ~config:{ Srv.Server.default_config with host }
-             (Srv.Catalog.of_seeded (Sqp_workload.Seeded.standard ())))
-      else None
-    in
-    let port =
-      match own_server with Some s -> Srv.Server.port s | None -> port
-    in
-    let wk = Sqp_workload.Seeded.standard () in
-    let side = Sqp_zorder.Space.side wk.Sqp_workload.Seeded.space in
-    let die e =
-      Printf.eprintf "bench-ingest: request failed: %s\n"
-        (Srv.Client.error_to_string e);
-      Stdlib.exit 1
-    in
-    let t0 = Unix.gettimeofday () in
-    let deadline = t0 +. seconds in
-    let ops_applied = Atomic.make 0 in
-    let frames_sent = Atomic.make 0 in
-    let writer w =
-      Srv.Client.with_connect ~host ~port (fun client ->
-          let rng = Rng.create ~seed:(1_000 + w) in
-          (* a ring of recently inserted points so deletes mostly hit *)
-          let recent = Array.make 256 [| 0; 0 |] in
-          let inserted = ref 0 in
-          let next_id = ref (w * 10_000_000) in
-          while Unix.gettimeofday () < deadline do
-            let reply =
-              if !inserted >= batch && Rng.int rng 4 = 0 then
-                Srv.Client.delete client ~table:"L"
-                  (List.init (max 1 (batch / 2)) (fun _ ->
-                       recent.(Rng.int rng (min !inserted 256))))
-              else
-                Srv.Client.insert client ~table:"L"
-                  (List.init batch (fun _ ->
-                       let p = [| Rng.int rng side; Rng.int rng side |] in
-                       recent.(!inserted mod 256) <- p;
-                       incr inserted;
-                       incr next_id;
-                       (p, !next_id)))
-            in
-            match reply with
-            | Ok (applied, _seq) ->
-                ignore (Atomic.fetch_and_add ops_applied applied);
-                Atomic.incr frames_sent
-            | Error e -> die e
-          done)
-    in
-    let read_latencies = Array.make (max 1 readers) [] in
-    let reader r =
-      Srv.Client.with_connect ~host ~port (fun client ->
-          let rng = Rng.create ~seed:(2_000 + r) in
-          let ext = max 1 (side / 8) in
-          let acc = ref [] in
-          while Unix.gettimeofday () < deadline do
-            let x = Rng.int rng (side - ext) and y = Rng.int rng (side - ext) in
-            let q0 = Unix.gettimeofday () in
-            (match
-               Srv.Client.live_range client ~table:"L" ~lo:[| x; y |]
-                 ~hi:[| x + ext - 1; y + ext - 1 |]
-             with
-            | Ok _ -> acc := (Unix.gettimeofday () -. q0) :: !acc
-            | Error e -> die e);
-            read_latencies.(r) <- !acc
-          done)
-    in
-    let threads =
-      List.init writers (fun w -> Thread.create writer w)
-      @ List.init readers (fun r -> Thread.create reader r)
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    (match own_server with Some s -> Srv.Server.stop s | None -> ());
-    let ops = Atomic.get ops_applied in
-    let throughput = float_of_int ops /. wall in
-    let latencies =
-      Array.of_list (List.concat (Array.to_list read_latencies))
-    in
-    Array.sort compare latencies;
-    let reads = Array.length latencies in
-    let pct p =
-      if reads = 0 then 0.0
-      else latencies.(min (reads - 1) (p * reads / 100)) *. 1e3
-    in
-    let lat_max = if reads = 0 then 0.0 else latencies.(reads - 1) *. 1e3 in
+    let retries_per_request = float_of_int retries /. float_of_int total in
     Printf.printf
-      "bench-ingest: %d writers, %d readers for %.2fs\n\
-       writes: %d ops applied in %d frames (%.0f ops/s sustained)\n\
-       reads:  %d live range queries; latency ms: p50 %.2f  p90 %.2f  p99 %.2f  \
-       max %.2f\n"
-      writers readers wall ops (Atomic.get frames_sent) throughput reads (pct 50)
-      (pct 90) (pct 99) lat_max;
+      "bench-chaos (fault rate %.3g, seed %d): %d clients x %d requests in \
+       %.2fs\n\
+       goodput %.0f req/s; %d retries (%.2f/request), %d reconnects; %d \
+       insert frames exactly-once\n\
+       latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n"
+      fault_rate fault_seed clients requests wall goodput retries
+      retries_per_request reconnects acked (pct 50) (pct 90) (pct 99) lat_max;
     let oc = open_out json_path in
     Printf.fprintf oc
       "{\n\
-      \  \"benchmark\": \"live_ingest_mixed\",\n\
-      \  \"writers\": %d,\n\
-      \  \"readers\": %d,\n\
-      \  \"batch\": %d,\n\
+      \  \"benchmark\": \"server_chaos_closed_loop\",\n\
+      \  \"fault_rate\": %.4f,\n\
+      \  \"fault_seed\": %d,\n\
+      \  \"clients\": %d,\n\
+      \  \"requests_per_client\": %d,\n\
+      \  \"total_requests\": %d,\n\
       \  \"wall_seconds\": %.4f,\n\
-      \  \"write_ops_applied\": %d,\n\
-      \  \"write_frames\": %d,\n\
-      \  \"write_ops_per_s\": %.1f,\n\
-      \  \"read_requests\": %d,\n\
-      \  \"read_latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
+      \  \"goodput_rps\": %.1f,\n\
+      \  \"retries\": %d,\n\
+      \  \"retries_per_request\": %.3f,\n\
+      \  \"reconnects\": %d,\n\
+      \  \"insert_frames_acked\": %d,\n\
+      \  \"latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
        \"max\": %.3f }\n\
        }\n"
-      writers readers batch wall ops (Atomic.get frames_sent) throughput reads
-      (pct 50) (pct 90) (pct 99) lat_max;
+      fault_rate fault_seed clients requests total wall goodput retries
+      retries_per_request reconnects acked (pct 50) (pct 90) (pct 99) lat_max;
     close_out oc;
     Printf.printf "wrote %s\n" json_path
   in
   Cmd.v
-    (Cmd.info "bench-ingest"
+    (Cmd.info "bench-chaos"
        ~doc:
-         "Mixed-workload ingest benchmark against the live table of $(b,sqp \
-          serve) (or a self-hosted ephemeral server with --port 0): sustained \
-          write throughput under concurrent snapshot reads; writes \
-          BENCH_ingest.json.")
-    Term.(
-      const run $ host_arg $ port_arg ~default:0 $ writers_arg $ readers_arg
-      $ seconds_arg $ batch_arg $ quick_arg $ json_arg)
+         "Fault-injected closed-loop benchmark against a self-hosted \
+          ephemeral server: 4 clients x 100 requests over sockets that \
+          reset, tear and stall at rate 0.05 (seed 42), with exactly-once \
+          retries checked against the live table; writes BENCH_chaos.json.")
+    Term.(const run $ quick_arg)
 
 (* Optimizer benchmark: for each seeded workload, time the plan the
    cost-based optimizer chooses against every forced alternative (and
@@ -1786,7 +1511,7 @@ let () =
             strategies_cmd; policies_cmd; partial_match_cmd; euv_cmd;
             coarsen_cmd; proximity_cmd; join_cmd; overlay_cmd; ccl_cmd;
             interference_cmd; fill_cmd; three_d_cmd; curves_cmd; object_join_cmd;
-            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd; bench_net_cmd;
-            bench_ingest_cmd; bench_optimizer_cmd; bench_compress_cmd;
+            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd; bench_chaos_cmd;
+            bench_optimizer_cmd; bench_compress_cmd;
             route_cmd; bench_cluster_cmd;
           ]))
