@@ -374,9 +374,8 @@ let fsck_cmd =
 
 (* {1 Network serving}
 
-   [serve] exposes the seeded catalog over the wire protocol; [shell]
-   is the interactive/scripted client; [bench-chaos] a fault-injected
-   closed loop against a self-hosted server.  Together they are the
+   [serve] exposes the seeded catalog over the wire protocol and
+   [shell] is the interactive/scripted client.  Together they are the
    "database server interface" deployment mode of the serving tier
    (lib/server); fault-free load and answer checking live in perfbench. *)
 
@@ -744,513 +743,6 @@ let shell_cmd =
           serve); exits 1 if any command draws an error.")
     Term.(const run $ host_arg $ port_arg ~default:7477 $ commands_arg $ deadline_arg)
 
-(* Fault-injected closed loop behind the checked-in BENCH_chaos.json:
-   clients talk to a self-hosted server through a seeded faulty socket
-   shim, mixing range, join and insert frames; retries carry idempotency
-   keys, and the acked insert frames must equal the live table's
-   batch-sequence advance (a double-applied retry breaks the equation).
-   Fault-free loopback load is perfbench's job (sh perfbench/run.sh). *)
-let bench_chaos_cmd =
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 2 clients x 15 requests.")
-  in
-  let fault_rate = 0.05 and fault_seed = 42 in
-  let json_path = "BENCH_chaos.json" in
-  let run quick =
-    let clients, requests = if quick then (2, 15) else (4, 100) in
-    let wk = Sqp_workload.Seeded.standard () in
-    let server = Srv.Server.start (Srv.Catalog.of_seeded wk) in
-    let port = Srv.Server.port server in
-    let live = Option.get (Srv.Catalog.live (Srv.Server.catalog server) "L") in
-    let seq_before = Sqp_btree.Live.seq live in
-    let wrap =
-      Srv.Faulty_net.wrap
-        (Srv.Faulty_net.seeded ~p_eintr:fault_rate ~p_short:0.2
-           ~p_delay:fault_rate ~delay_s:0.0005 ~p_reset:fault_rate
-           ~seed:fault_seed ())
-    in
-    let boxes = wk.Sqp_workload.Seeded.query_boxes in
-    let side = Sqp_zorder.Space.side wk.Sqp_workload.Seeded.space in
-    let acked_inserts = Atomic.make 0 in
-    let retries_total = Atomic.make 0 in
-    let reconnects_total = Atomic.make 0 in
-    (* A torn first attempt is routine under faults: give the retry loop
-       room. *)
-    let latencies_of_client c =
-      Srv.Client.with_connect ~port ~wrap ~max_attempts:100
-        ~client_id:((fault_seed * 1000) + c) (fun client ->
-          let lat =
-            Array.init requests (fun i ->
-                let t0 = Unix.gettimeofday () in
-                let reply =
-                  if i mod 5 = 2 then
-                    Result.map
-                      (fun _ -> Atomic.incr acked_inserts)
-                      (Srv.Client.insert client ~table:"L"
-                         (List.init 4 (fun j ->
-                              let n = (c * 1_000_000) + (i * 100) + j in
-                              ( [| n * 7919 mod side; n * 104729 mod side |],
-                                900_000_000 + n ))))
-                  else if i mod 10 = 9 then
-                    Result.map (fun _ -> ())
-                      (Srv.Client.query client join_wire_plan)
-                  else
-                    let box = boxes.(((c * 131) + i) mod Array.length boxes) in
-                    Result.map
-                      (fun _ -> ())
-                      (Srv.Client.range_search client ~lo:(Sqp_geom.Box.lo box)
-                         ~hi:(Sqp_geom.Box.hi box))
-                in
-                (match reply with
-                | Ok () -> ()
-                | Error e ->
-                    Printf.eprintf "bench-chaos: request failed: %s\n"
-                      (Srv.Client.error_to_string e);
-                    Stdlib.exit 1);
-                Unix.gettimeofday () -. t0)
-          in
-          ignore (Atomic.fetch_and_add retries_total (Srv.Client.retries client));
-          ignore
-            (Atomic.fetch_and_add reconnects_total (Srv.Client.reconnects client));
-          lat)
-    in
-    let t0 = Unix.gettimeofday () in
-    let results = Array.make clients [||] in
-    let threads =
-      List.init clients (fun c ->
-          Thread.create (fun () -> results.(c) <- latencies_of_client c) ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let acked = Atomic.get acked_inserts in
-    let advanced = Sqp_btree.Live.seq live - seq_before in
-    if advanced <> acked then begin
-      Printf.eprintf
-        "bench-chaos: exactly-once violated: %d insert frames acked but the \
-         live table advanced %d batches\n"
-        acked advanced;
-      Stdlib.exit 1
-    end;
-    Srv.Server.stop server;
-    let latencies = Array.concat (Array.to_list results) in
-    Array.sort compare latencies;
-    let total = Array.length latencies in
-    let pct p = latencies.(min (total - 1) (p * total / 100)) *. 1e3 in
-    let lat_max = latencies.(total - 1) *. 1e3 in
-    let goodput = float_of_int total /. wall in
-    let retries = Atomic.get retries_total in
-    let reconnects = Atomic.get reconnects_total in
-    let retries_per_request = float_of_int retries /. float_of_int total in
-    Printf.printf
-      "bench-chaos (fault rate %.3g, seed %d): %d clients x %d requests in \
-       %.2fs\n\
-       goodput %.0f req/s; %d retries (%.2f/request), %d reconnects; %d \
-       insert frames exactly-once\n\
-       latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n"
-      fault_rate fault_seed clients requests wall goodput retries
-      retries_per_request reconnects acked (pct 50) (pct 90) (pct 99) lat_max;
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"server_chaos_closed_loop\",\n\
-      \  \"fault_rate\": %.4f,\n\
-      \  \"fault_seed\": %d,\n\
-      \  \"clients\": %d,\n\
-      \  \"requests_per_client\": %d,\n\
-      \  \"total_requests\": %d,\n\
-      \  \"wall_seconds\": %.4f,\n\
-      \  \"goodput_rps\": %.1f,\n\
-      \  \"retries\": %d,\n\
-      \  \"retries_per_request\": %.3f,\n\
-      \  \"reconnects\": %d,\n\
-      \  \"insert_frames_acked\": %d,\n\
-      \  \"latency_ms\": { \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-       \"max\": %.3f }\n\
-       }\n"
-      fault_rate fault_seed clients requests total wall goodput retries
-      retries_per_request reconnects acked (pct 50) (pct 90) (pct 99) lat_max;
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-chaos"
-       ~doc:
-         "Fault-injected closed-loop benchmark against a self-hosted \
-          ephemeral server: 4 clients x 100 requests over sockets that \
-          reset, tear and stall at rate 0.05 (seed 42), with exactly-once \
-          retries checked against the live table; writes BENCH_chaos.json.")
-    Term.(const run $ quick_arg)
-
-(* Optimizer benchmark: for each seeded workload, time the plan the
-   cost-based optimizer chooses against every forced alternative (and
-   against the statistics-free size heuristic), and write the table to
-   BENCH_optimizer.json.  The invariants the JSON records — chosen never
-   slower than the worst alternative, and strictly better than the
-   heuristic somewhere — are what docs/COST_MODEL.md's calibration
-   section points at. *)
-let bench_optimizer_cmd =
-  let module R = Sqp_relalg in
-  let module W = Sqp_workload in
-  let module O = Sqp_optimizer in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 3 timing repetitions instead of 9.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_optimizer.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the results.")
-  in
-  let rec force impl plan =
-    match plan with
-    | R.Plan.Spatial_join { zl; zr; left; right; impl = _ } ->
-        R.Plan.Spatial_join
-          { zl; zr; left = force impl left; right = force impl right; impl = Some impl }
-    | R.Plan.Select (p, t) -> R.Plan.Select (p, force impl t)
-    | R.Plan.Project (ns, t) -> R.Plan.Project (ns, force impl t)
-    | R.Plan.Project_all (ns, t) -> R.Plan.Project_all (ns, force impl t)
-    | R.Plan.Rename (rs, t) -> R.Plan.Rename (rs, force impl t)
-    | R.Plan.Sort (ns, t) -> R.Plan.Sort (ns, force impl t)
-    | R.Plan.Natural_join (a, b) -> R.Plan.Natural_join (force impl a, force impl b)
-    | R.Plan.Product (a, b) -> R.Plan.Product (force impl a, force impl b)
-    | R.Plan.Union (a, b) -> R.Plan.Union (force impl a, force impl b)
-    | (R.Plan.Scan _ | R.Plan.Scan_stored _) as leaf -> leaf
-  in
-  let run quick json_path =
-    let reps = if quick then 3 else 9 in
-    let median_ms f =
-      ignore (f ()) (* warm caches (buffer pools, decompose memo) *);
-      let samples =
-        List.init reps (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (f ());
-            (Unix.gettimeofday () -. t0) *. 1e3)
-      in
-      List.nth (List.sort compare samples) (reps / 2)
-    in
-    let impl_name = function
-      | R.Plan.Merge -> "merge"
-      | R.Plan.Nested_loop -> "nested_loop"
-    in
-    (* One join workload: the chosen plan vs both forced implementations
-       vs the statistics-free heuristic, all over the same catalog. *)
-    let join_workload name (wk : W.Seeded.t) =
-      let cat = Srv.Catalog.of_seeded wk in
-      let st = Srv.Catalog.analyze cat in
-      let plan = R.Plan.optimize (Srv.Catalog.overlap_plan cat) in
-      let chosen_plan, decisions = O.Optimizer.choose_plan st plan in
-      let d = List.hd decisions in
-      let alts =
-        [
-          ("forced merge", force R.Plan.Merge plan);
-          ("forced nested_loop", force R.Plan.Nested_loop plan);
-          ("heuristic", plan);
-        ]
-      in
-      let timed =
-        List.map (fun (label, p) -> (label, median_ms (fun () -> R.Plan.run p))) alts
-      in
-      let chosen_ms = median_ms (fun () -> R.Plan.run chosen_plan) in
-      let heuristic_ms = List.assoc "heuristic" timed in
-      let worst_ms = List.fold_left (fun a (_, ms) -> max a ms) 0.0 timed in
-      Printf.printf
-        "%s: %.0fx%.0f rows; chosen %s%s %.3f ms | %s | heuristic would %s\n"
-        name d.O.Optimizer.left_rows d.O.Optimizer.right_rows
-        (impl_name d.O.Optimizer.chosen)
-        (if d.O.Optimizer.commuted then " (commuted)" else "")
-        chosen_ms
-        (String.concat " | "
-           (List.map (fun (l, ms) -> Printf.sprintf "%s %.3f ms" l ms) timed))
-        (if d.O.Optimizer.heuristic_would_merge then "merge" else "nested_loop");
-      Printf.sprintf
-        "    { \"workload\": %S,\n\
-        \      \"left_rows\": %.0f, \"right_rows\": %.0f,\n\
-        \      \"chosen\": { \"impl\": %S, \"commuted\": %b, \"ms\": %.4f },\n\
-        \      \"alternatives\": [ %s ],\n\
-        \      \"heuristic_impl\": %S,\n\
-        \      \"chosen_not_slower_than_worst\": %b,\n\
-        \      \"beats_heuristic\": %b }"
-        name d.O.Optimizer.left_rows d.O.Optimizer.right_rows
-        (impl_name d.O.Optimizer.chosen)
-        d.O.Optimizer.commuted chosen_ms
-        (String.concat ", "
-           (List.map
-              (fun (l, ms) -> Printf.sprintf "{ \"label\": %S, \"ms\": %.4f }" l ms)
-              timed))
-        (if d.O.Optimizer.heuristic_would_merge then "merge" else "nested_loop")
-        (chosen_ms <= worst_ms *. 1.05)
-        (chosen_ms < heuristic_ms)
-    in
-    (* Range workload: per query box, the chosen access path (direct
-       plain/skip merge at exact decomposition, or the coarsened plan)
-       vs every forced method, summed over the batch. *)
-    let range_workload (wk : W.Seeded.t) =
-      let cat = Srv.Catalog.of_seeded wk in
-      let st = Srv.Catalog.analyze cat in
-      ignore st;
-      let prep = Srv.Catalog.prepared_points cat in
-      let boxes =
-        wk.W.Seeded.query
-        :: Array.to_list (Array.sub wk.W.Seeded.query_boxes 0 5)
-      in
-      let sum f =
-        median_ms (fun () -> List.iter (fun b -> ignore (f b)) boxes)
-      in
-      let plain_ms = sum (fun b -> Sqp_core.Range_search.search_plain prep b) in
-      let skip_ms = sum (fun b -> Sqp_core.Range_search.search_skip prep b) in
-      let plan_ms =
-        sum (fun b ->
-            R.Plan.run
-              (R.Plan.optimize
-                 (Srv.Catalog.range_plan cat ~lo:(Sqp_geom.Box.lo b)
-                    ~hi:(Sqp_geom.Box.hi b))))
-      in
-      let chosen_one b =
-        let lo = Sqp_geom.Box.lo b and hi = Sqp_geom.Box.hi b in
-        match Srv.Catalog.range_access cat ~lo ~hi with
-        | Srv.Catalog.Direct best -> (
-            match best.O.Cost.method_ with
-            | O.Cost.Plain -> ignore (Sqp_core.Range_search.search_plain prep b)
-            | O.Cost.Skip -> ignore (Sqp_core.Range_search.search_skip prep b))
-        | Srv.Catalog.Planned ->
-            ignore
-              (R.Plan.run
-                 (R.Plan.optimize (Srv.Catalog.range_plan cat ~lo ~hi)))
-      in
-      let chosen_ms = median_ms (fun () -> List.iter chosen_one boxes) in
-      let worst_ms = max plain_ms (max skip_ms plan_ms) in
-      Printf.printf
-        "range batch (%d boxes): chosen %.3f ms | plain %.3f ms | skip %.3f ms \
-         | plan %.3f ms\n"
-        (List.length boxes) chosen_ms plain_ms skip_ms plan_ms;
-      Printf.sprintf
-        "    { \"workload\": \"range_batch\",\n\
-        \      \"boxes\": %d,\n\
-        \      \"chosen\": { \"impl\": \"per-box cost decision\", \"ms\": %.4f },\n\
-        \      \"alternatives\": [ { \"label\": \"plain/exact\", \"ms\": %.4f },\n\
-        \                         { \"label\": \"skip/exact\", \"ms\": %.4f },\n\
-        \                         { \"label\": \"plan path\", \"ms\": %.4f } ],\n\
-        \      \"chosen_not_slower_than_worst\": %b }"
-        (List.length boxes) chosen_ms plain_ms skip_ms plan_ms
-        (chosen_ms <= worst_ms *. 1.05)
-    in
-    let big = W.Seeded.standard () in
-    (* A join whose element product sits {e under} the 20k size-heuristic
-       threshold while both sides are big enough that the merge wins:
-       the workload where statistics beat the heuristic. *)
-    let small =
-      let fits k =
-        let wk = W.Seeded.standard ~n_objects:k () in
-        let l, r = W.Seeded.join_elements wk in
-        let p = List.length l * List.length r in
-        if p <= 20_000 && p >= 4_000 then Some wk else None
-      in
-      List.find_map fits [ 24; 20; 16; 12; 10; 8; 6; 4 ]
-    in
-    let rows =
-      join_workload "overlap_join" big
-      :: (match small with
-         | Some wk -> [ join_workload "small_join" wk ]
-         | None -> [])
-      @ [ range_workload big ]
-    in
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"optimizer_chosen_vs_forced\",\n\
-      \  \"repetitions\": %d,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      reps
-      (String.concat ",\n" rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-optimizer"
-       ~doc:
-         "Cost-based optimizer benchmark: the chosen plan vs every forced \
-          alternative (join implementations, range access paths) on the \
-          seeded workloads; writes BENCH_optimizer.json.")
-    Term.(const run $ quick_arg $ json_arg)
-
-(* Compression benchmark: front-coded pages against the fixed-width
-   baseline at the same byte budget — entries per page, data pages
-   touched per range query, on-disk dump sizes (v3 vs v2), and the
-   latency guardrail on the range path. *)
-let bench_compress_cmd =
-  let module W = Sqp_workload in
-  let module Zi = Sqp_btree.Zindex in
-  let module P = Sqp_btree.Persist in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: 3 timing repetitions instead of 9.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_compress.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the results.")
-  in
-  let run quick json_path =
-    let reps = if quick then 3 else 9 in
-    let median_ms f =
-      ignore (f ()) (* warm caches *);
-      let samples =
-        List.init reps (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (f ());
-            (Unix.gettimeofday () -. t0) *. 1e3)
-      in
-      List.nth (List.sort compare samples) (reps / 2)
-    in
-    let wk = W.Seeded.standard () in
-    let space = wk.W.Seeded.space in
-    let pts = W.Seeded.tagged_points wk in
-    let budget = 512 in
-    (* The payload is a row id: charge it as a u32, so the density
-       comparison measures the key layouts rather than payload padding. *)
-    let comp = Zi.of_points ~page_budget:budget ~value_bytes:4 space pts in
-    let fixed =
-      Zi.of_points ~page_budget:budget ~value_bytes:4 ~compressed:false space
-        pts
-    in
-    let boxes = Array.to_list wk.W.Seeded.query_boxes in
-    (* Differential sweep: identical rows, fewer pages. *)
-    let pages_comp = ref 0 and pages_fixed = ref 0 and mismatches = ref 0 in
-    List.iter
-      (fun b ->
-        let rc, sc = Zi.range_search comp b in
-        let rf, sf = Zi.range_search fixed b in
-        if rc <> rf then incr mismatches;
-        pages_comp := !pages_comp + sc.Zi.data_pages;
-        pages_fixed := !pages_fixed + sf.Zi.data_pages)
-      boxes;
-    let cstats =
-      match Zi.compression_stats comp with
-      | Some c -> c
-      | None -> assert false (* built with a budget *)
-    in
-    let fixed_epp = Zi.avg_leaf_entries fixed in
-    (* On-disk dumps of the same index in both formats. *)
-    let v3_path = Filename.temp_file "sqp_bench_compress" ".v3" in
-    let v2_path = Filename.temp_file "sqp_bench_compress" ".v2" in
-    let v3_pages = P.save ~format:P.V3 ~path:v3_path ~encode:string_of_int comp in
-    let v2_pages = P.save ~format:P.V2 ~path:v2_path ~encode:string_of_int comp in
-    let file_size p = (Unix.stat p).Unix.st_size in
-    let v3_bytes = file_size v3_path and v2_bytes = file_size v2_path in
-    Sys.remove v3_path;
-    Sys.remove v2_path;
-    (* Latency guardrail: the compressed layout must not slow the range
-       path. *)
-    let range_ms idx =
-      median_ms (fun () ->
-          List.iter (fun b -> ignore (Zi.range_search idx b)) boxes)
-    in
-    let range_comp_ms = range_ms comp and range_fixed_ms = range_ms fixed in
-    Printf.printf
-      "leaf density (budget %dB): %.1f entries/page front-coded vs %.1f \
-       fixed-width (%.2fx, %d vs %d leaves)\n"
-      budget cstats.Zi.avg_entries_per_leaf fixed_epp cstats.Zi.ratio
-      cstats.Zi.leaves (Zi.data_page_count fixed);
-    Printf.printf
-      "range batch (%d boxes): %d data pages compressed vs %d fixed (rows %s); \
-       %.3f ms vs %.3f ms\n"
-      (List.length boxes) !pages_comp !pages_fixed
-      (if !mismatches = 0 then "identical" else
-         Printf.sprintf "MISMATCH on %d boxes" !mismatches)
-      range_comp_ms range_fixed_ms;
-    Printf.printf "on disk: v3 %d pages / %d bytes vs v2 %d pages / %d bytes\n"
-      v3_pages v3_bytes v2_pages v2_bytes;
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"compressed_vs_fixed_storage\",\n\
-      \  \"repetitions\": %d,\n\
-      \  \"page_budget_bytes\": %d,\n\
-      \  \"leaf_density\": { \"compressed\": %.2f, \"fixed\": %.2f, \"ratio\": \
-       %.3f },\n\
-      \  \"leaves\": { \"compressed\": %d, \"fixed\": %d },\n\
-      \  \"range_batch\": { \"boxes\": %d, \"data_pages_compressed\": %d,\n\
-      \                    \"data_pages_fixed\": %d, \"rows_identical\": %b,\n\
-      \                    \"ms_compressed\": %.4f, \"ms_fixed\": %.4f },\n\
-      \  \"on_disk\": { \"v3_pages\": %d, \"v3_bytes\": %d, \"v2_pages\": %d, \
-       \"v2_bytes\": %d },\n\
-      \  \"density_ratio_at_least_1_5\": %b,\n\
-      \  \"fewer_pages_than_fixed\": %b\n\
-       }\n"
-      reps budget cstats.Zi.avg_entries_per_leaf fixed_epp cstats.Zi.ratio
-      cstats.Zi.leaves (Zi.data_page_count fixed) (List.length boxes)
-      !pages_comp !pages_fixed (!mismatches = 0) range_comp_ms range_fixed_ms
-      v3_pages v3_bytes v2_pages v2_bytes
-      (cstats.Zi.ratio >= 1.5)
-      (!pages_comp < !pages_fixed);
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path;
-    if !mismatches > 0 then Stdlib.exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-compress"
-       ~doc:
-         "Prefix-compression benchmark: front-coded vs fixed-width pages at \
-          the same byte budget (leaf density, pages per range query, v3 vs v2 \
-          dump sizes, range latencies); writes BENCH_compress.json.")
-    Term.(const run $ quick_arg $ json_arg)
-
-(* {1 Cluster: shard spawning, the router daemon, the scaling bench} *)
-
-(* Spawn [sqp serve --port 0 --shard spec] as a child process and parse
-   the machine-parseable SQP_SERVE_PORT= line off its stdout.  A drain
-   thread keeps reading so the child can never block on a full pipe. *)
-type spawned_shard = { pid : int; port : int; drain : Thread.t }
-
-let spawn_shard ?(live_empty = false) ~points ~objects ~spec () =
-  let exe = Sys.executable_name in
-  let args =
-    [ exe; "serve"; "--port"; "0"; "--points"; string_of_int points;
-      "--objects"; string_of_int objects; "--shard"; spec ]
-    @ (if live_empty then [ "--live-empty" ] else [])
-  in
-  let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let pid = Unix.create_process exe (Array.of_list args) Unix.stdin out_w Unix.stderr in
-  Unix.close out_w;
-  let ic = Unix.in_channel_of_descr out_r in
-  let prefix = "SQP_SERVE_PORT=" in
-  let rec find_port () =
-    let line = input_line ic in
-    if String.length line > String.length prefix
-       && String.sub line 0 (String.length prefix) = prefix
-    then
-      int_of_string
-        (String.sub line (String.length prefix)
-           (String.length line - String.length prefix))
-    else find_port ()
-  in
-  match find_port () with
-  | exception _ ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
-      failwith (Printf.sprintf "shard %s failed to report a port" spec)
-  | port ->
-      let drain =
-        Thread.create
-          (fun () -> try while true do ignore (input_line ic) done with _ -> ())
-          ()
-      in
-      { pid; port; drain }
-
-let stop_shard s =
-  (try Unix.kill s.pid Sys.sigterm with Unix.Unix_error _ -> ());
-  ignore (try Unix.waitpid [] s.pid with Unix.Unix_error _ -> (s.pid, Unix.WEXITED 0));
-  Thread.join s.drain
-
-let spawn_even_shards ?(live_empty = false) ~points ~objects n =
-  List.init n (fun i ->
-      spawn_shard ~live_empty ~points ~objects
-        ~spec:(Printf.sprintf "%d/%d" i n) ())
-
 let route_cmd =
   let spawn_arg =
     Arg.(
@@ -1287,8 +779,10 @@ let route_cmd =
     let spawned, endpoints =
       match (spawn, shards) with
       | n, None when n > 0 ->
-          let ss = spawn_even_shards ~points ~objects n in
-          (ss, List.map (fun s -> ("127.0.0.1", s.port)) ss)
+          let ss =
+            Sqp_cluster.Shard_process.spawn_even ~sqp:Sys.executable_name ~points ~objects n
+          in
+          (ss, List.map (fun s -> ("127.0.0.1", Sqp_cluster.Shard_process.port s)) ss)
       | 0, Some list ->
           ( [],
             List.map
@@ -1312,7 +806,7 @@ let route_cmd =
     let router =
       try Sqp_cluster.Router.start ~config ~space ~map ()
       with e ->
-        List.iter stop_shard spawned;
+        List.iter (fun s -> ignore (Sqp_cluster.Shard_process.stop s)) spawned;
         raise e
     in
     Printf.printf "SQP_ROUTE_PORT=%d\n%!" (Sqp_cluster.Router.port router);
@@ -1333,12 +827,22 @@ let route_cmd =
     done;
     print_endline "sqp route: draining...";
     Sqp_cluster.Router.stop router;
-    List.iter stop_shard spawned;
+    let failed_shards =
+      List.filteri
+        (fun i s ->
+          match Sqp_cluster.Shard_process.stop s with
+          | Unix.WEXITED 0 -> false
+          | _ ->
+              Printf.eprintf "sqp route: shard %d did not drain cleanly\n%!" i;
+              true)
+        spawned
+    in
     print_endline "sqp route: drained; final metrics:";
     print_string
       (Sqp_obs.Metrics.to_text
          (Sqp_obs.Metrics.snapshot (Sqp_obs.Metrics.global ())));
-    print_endline "sqp route: bye."
+    print_endline "sqp route: bye.";
+    if failed_shards <> [] then Stdlib.exit 1
   in
   Cmd.v
     (Cmd.info "route"
@@ -1346,155 +850,10 @@ let route_cmd =
          "Run the cluster router over N z-range shards (spawned locally or \
           already running), speaking the same wire protocol as a single \
           server, until SIGTERM/SIGINT; then drain, stop spawned shards and \
-          exit 0.")
+          exit 0 (1 if a spawned shard did not drain cleanly).")
     Term.(
       const run $ host_arg $ port_arg ~default:7478 $ spawn_arg $ shards_arg
       $ points_arg $ objects_arg)
-
-let bench_cluster_cmd =
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke mode: fewer points and queries.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_cluster.json"
-      & info [ "json" ] ~docv:"FILE" ~doc:"Where to write the summary.")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let run quick json_path clients =
-    let points = if quick then 4000 else 20000 in
-    let objects = 48 in
-    let queries = if quick then 60 else 400 in
-    let wk = Sqp_workload.Seeded.standard ~n_points:points () in
-    let space = wk.Sqp_workload.Seeded.space in
-    let boxes = wk.Sqp_workload.Seeded.query_boxes in
-    (* Throughput scaling on one box comes from data partitioning, not
-       extra cores: the statistics-free (Planned) range path costs
-       per-query work proportional to the shard's point count, and the
-       box cover prunes the fan-out to the overlapping shards — so no
-       Refresh_stats here, on purpose. *)
-    let run_one n_shards =
-      let shards = spawn_even_shards ~points ~objects n_shards in
-      Fun.protect ~finally:(fun () -> List.iter stop_shard shards)
-      @@ fun () ->
-      let map =
-        Srv.Shard_map.even space
-          (List.map (fun s -> ("127.0.0.1", s.port)) shards)
-      in
-      let metrics = Sqp_obs.Metrics.create () in
-      let router =
-        Sqp_cluster.Router.start
-          ~config:{ Sqp_cluster.Router.default_config with port = 0 }
-          ~metrics ~space ~map ()
-      in
-      Fun.protect ~finally:(fun () -> Sqp_cluster.Router.stop router)
-      @@ fun () ->
-      let rport = Sqp_cluster.Router.port router in
-      let per_client = queries / clients in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.init clients (fun c ->
-            Thread.create
-              (fun () ->
-                Srv.Client.with_connect ~port:rport (fun client ->
-                    for i = 0 to per_client - 1 do
-                      let box = boxes.(((c * 131) + i) mod Array.length boxes) in
-                      match
-                        Srv.Client.range_search client
-                          ~lo:(Sqp_geom.Box.lo box) ~hi:(Sqp_geom.Box.hi box)
-                      with
-                      | Ok _ -> ()
-                      | Error e ->
-                          Printf.eprintf "bench-cluster: %s\n"
-                            (Srv.Client.error_to_string e);
-                          Stdlib.exit 1
-                    done))
-              ())
-      in
-      List.iter Thread.join threads;
-      let wall = Unix.gettimeofday () -. t0 in
-      let total = per_client * clients in
-      let jt0 = Unix.gettimeofday () in
-      let join_rows =
-        Srv.Client.with_connect ~port:rport (fun client ->
-            match Srv.Client.query client join_wire_plan with
-            | Ok rel -> Sqp_relalg.Relation.cardinality rel
-            | Error e ->
-                Printf.eprintf "bench-cluster: join failed: %s\n"
-                  (Srv.Client.error_to_string e);
-                Stdlib.exit 1)
-      in
-      let join_ms = (Unix.gettimeofday () -. jt0) *. 1e3 in
-      let qps = float_of_int total /. wall in
-      Printf.printf
-        "bench-cluster: %d shard%s: %d range queries in %.2fs (%.1f q/s); \
-         join %d rows in %.1fms\n\
-         %!"
-        n_shards
-        (if n_shards = 1 then "" else "s")
-        total wall qps join_rows join_ms;
-      (n_shards, total, wall, qps, join_rows, join_ms)
-    in
-    let runs = List.map run_one [ 1; 2; 4 ] in
-    let monotonic =
-      match runs with
-      | [ (_, _, _, q1, _, _); (_, _, _, q2, _, _); (_, _, _, q4, _, _) ] ->
-          q1 <= q2 && q2 <= q4
-      | _ -> false
-    in
-    let join_consistent =
-      match runs with
-      | (_, _, _, _, r1, _) :: rest ->
-          List.for_all (fun (_, _, _, _, r, _) -> r = r1) rest
-      | [] -> false
-    in
-    if not join_consistent then begin
-      Printf.eprintf
-        "bench-cluster: join row counts diverge across shard counts\n";
-      Stdlib.exit 1
-    end;
-    if not monotonic then
-      Printf.eprintf
-        "bench-cluster: WARNING: throughput not monotonic across 1/2/4 shards\n";
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"cluster_scaling_closed_loop\",\n\
-      \  \"quick\": %b,\n\
-      \  \"points\": %d,\n\
-      \  \"clients\": %d,\n\
-      \  \"monotonic_1_2_4\": %b,\n\
-      \  \"join_rows_consistent\": %b,\n\
-      \  \"runs\": [\n%s\n  ]\n\
-       }\n"
-      quick points clients monotonic join_consistent
-      (String.concat ",\n"
-         (List.map
-            (fun (n, total, wall, qps, jr, jms) ->
-              Printf.sprintf
-                "    { \"shards\": %d, \"queries\": %d, \"wall_seconds\": \
-                 %.4f, \"throughput_qps\": %.1f, \"join_rows\": %d, \
-                 \"join_ms\": %.2f }"
-                n total wall qps jr jms)
-            runs));
-    close_out oc;
-    Printf.printf "wrote %s\n" json_path
-  in
-  Cmd.v
-    (Cmd.info "bench-cluster"
-       ~doc:
-         "Cluster scaling benchmark: the same closed-loop range-query \
-          workload against a router over 1, 2 and 4 spawned z-range shards; \
-          verifies the spatial join answers identically at every shard count \
-          and writes BENCH_cluster.json (throughput must grow with the shard \
-          count — per-query work shrinks with the shard's slice).")
-    Term.(const run $ quick_arg $ json_arg $ clients_arg)
 
 let () =
   let info =
@@ -1511,7 +870,5 @@ let () =
             strategies_cmd; policies_cmd; partial_match_cmd; euv_cmd;
             coarsen_cmd; proximity_cmd; join_cmd; overlay_cmd; ccl_cmd;
             interference_cmd; fill_cmd; three_d_cmd; curves_cmd; object_join_cmd;
-            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd; bench_chaos_cmd;
-            bench_optimizer_cmd; bench_compress_cmd;
-            route_cmd; bench_cluster_cmd;
+            all_cmd; query_cmd; fsck_cmd; serve_cmd; shell_cmd; route_cmd;
           ]))

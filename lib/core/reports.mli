@@ -1,6 +1,7 @@
 (** Printable reproductions of every figure and experiment table in the
-    paper.  [bench/main.exe] and [bin/main.exe] are thin wrappers over
-    this module; each function writes an ASCII table or figure to stdout.
+    paper.  [bin/main.exe] (one subcommand per artifact, [all] for
+    every one) is a thin wrapper over this module; each function writes
+    an ASCII table or figure to stdout.
 
     The experiment index in DESIGN.md maps paper artifacts to these
     functions. *)

@@ -1,5 +1,5 @@
 (** A blocking, self-healing client for the {!Protocol} wire format —
-    the library under [sqp shell] and [sqp bench-chaos], and the far end
+    the library under [sqp shell] and the chaos benchmark, and the far end
     the end-to-end and chaos tests drive.
 
     One connection carries one request at a time (the protocol has no

@@ -16,8 +16,8 @@
     retry loop and the server's session accounting are tested against.
 
     The chaos suite ([test/test_chaos.ml]) threads these plans under
-    both sides of a real loopback server; [sqp bench-chaos] uses them
-    operationally. *)
+    both sides of a real loopback server; the chaos benchmark
+    ([bench/main.exe chaos]) uses them operationally. *)
 
 type plan
 

@@ -1,10 +1,17 @@
 (** The canonical seeded workload shared by the benchmark harness, the
     CLI's [query] subcommand and the observability tests.
 
-    Before this module existed, [bench/main.ml] and [bin/main.ml] each
-    re-derived the same datasets from the same magic seeds; now there is
-    one definition, so "the 5000-point bench dataset" or "the 48x48 box
+    One definition, so "the 5000-point bench dataset" or "the 48x48 box
     join" mean the same bytes everywhere they are mentioned. *)
+
+val points_seed : int
+(** Seed of the point stream (77). *)
+
+val boxes_seed : int
+(** Seed of the query-box stream (99). *)
+
+val objects_seed : int
+(** Seed of the join-object stream (13), both sides. *)
 
 type t = {
   space : Sqp_zorder.Space.t;  (** 2-d, depth 10 (1024 x 1024 grid) *)

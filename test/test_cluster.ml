@@ -753,6 +753,27 @@ let test_spawned_serve () =
         checkb "SIGTERM drain exits 0" true (status = Unix.WEXITED 0))
   end
 
+(* [Shard_process.stop] returns the child's exit status, so [sqp route]
+   and the cluster bench can fail on a shard that crashed or did not
+   drain.  Stand-in shards install their SIGTERM trap before reporting
+   a port, then exit with the given code on SIGTERM. *)
+let test_shard_stop_status () =
+  let stop_status code =
+    let sh = Filename.temp_file "sqp_stand_in_shard" ".sh" in
+    Out_channel.with_open_text sh (fun oc ->
+        Printf.fprintf oc
+          "#!/bin/sh\ntrap 'exit %d' TERM\necho SQP_SERVE_PORT=1\n\
+           while :; do sleep 0.05; done\n"
+          code);
+    Unix.chmod sh 0o755;
+    let shards = Sqp_cluster.Shard_process.spawn_even ~sqp:sh ~points:1 ~objects:1 1 in
+    let statuses = List.map Sqp_cluster.Shard_process.stop shards in
+    Sys.remove sh;
+    statuses
+  in
+  checkb "clean drain" true (stop_status 0 = [ Unix.WEXITED 0 ]);
+  checkb "failed drain" true (stop_status 3 = [ Unix.WEXITED 3 ])
+
 let () =
   Alcotest.run "cluster"
     [
@@ -780,5 +801,7 @@ let () =
         [
           Alcotest.test_case "serve reports its port and drains on SIGTERM"
             `Quick test_spawned_serve;
+          Alcotest.test_case "shard stop reports the exit status" `Quick
+            test_shard_stop_status;
         ] );
     ]

@@ -211,7 +211,7 @@ let test_join_estimates_within_factor () =
 let test_optimizer_overrides_heuristic () =
   (* A join whose element product sits under the 20k size-heuristic
      threshold while both sides are large: statistics pick the merge
-     where the heuristic would nested-loop (the bench-optimizer
+     where the heuristic would nested-loop (the optimizer benchmark's
      "small_join" workload). *)
   let small =
     List.find_map

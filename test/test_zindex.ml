@@ -321,7 +321,7 @@ let compressed_pair ?(n = 5000) () =
   let pts = W.Seeded.tagged_points wk in
   let space = wk.W.Seeded.space in
   (* Payloads are row ids: charge them as a u32 so the density ratio
-     measures the key layouts (mirrors [sqp bench-compress]). *)
+     measures the key layouts (mirrors the compress benchmark). *)
   let comp = Zindex.of_points ~page_budget:512 ~value_bytes:4 space pts in
   let fixed =
     Zindex.of_points ~page_budget:512 ~value_bytes:4 ~compressed:false space pts
