@@ -11,7 +11,6 @@
 let benches =
   [
     ("kernels", Kernels.run);
-    ("parallel", Parallel.run);
     ("obs", Obs.run);
     ("optimizer", Optimizer.run);
     ("compress", Compress.run);

@@ -1,7 +1,6 @@
-(* Observability snapshot: the seeded stored-relation spatial join under
-   a collecting tracer, sequentially and over 2 domains.  Prints both
-   EXPLAIN ANALYZE trees and records per-run rows, page counters, the
-   span count and every ambient metric; a full run also writes
+(* Observability snapshot: the seeded stored-relation spatial join, run
+   once under a collecting tracer.  Prints its EXPLAIN ANALYZE tree and
+   records rows, page counters, the span count and every ambient metric; a full run also writes
    BENCH_trace.json, a Chrome trace_event file (load it at
    chrome://tracing or ui.perfetto.dev for the flame chart). *)
 
@@ -14,41 +13,35 @@ let run ~quick =
   let tracer = Obs.Trace.create ~capacity:4096 Obs.Trace.Collect in
   Obs.Trace.set_global tracer;
   Obs.Metrics.reset (Obs.Metrics.global ());
-  let plan () =
-    R.Query.stored_overlap_plan ~options:wk.W.Seeded.decompose_options
-      wk.W.Seeded.space wk.W.Seeded.left_objects wk.W.Seeded.right_objects
+  let a =
+    R.Plan.run_analyze
+      (R.Query.stored_overlap_plan ~options:wk.W.Seeded.decompose_options
+         wk.W.Seeded.space wk.W.Seeded.left_objects wk.W.Seeded.right_objects)
   in
-  let seq = R.Plan.run_analyze (plan ()) in
-  let par = R.Plan.run_analyze ~parallelism:2 (plan ()) in
   Obs.Trace.set_global Obs.Trace.null;
-  print_endline "\nEXPLAIN ANALYZE: stored 48x48 spatial join, sequential then 2 domains";
-  print_string (R.Plan.render_analysis seq);
-  print_newline ();
-  print_string (R.Plan.render_analysis par);
+  print_endline "\nEXPLAIN ANALYZE: stored 48x48 spatial join";
+  print_string (R.Plan.render_analysis a);
   let spans = Obs.Trace.spans tracer in
   if not quick then begin
     Obs.Trace.write_chrome "BENCH_trace.json" spans;
     print_endline "  -> BENCH_trace.json"
   end;
   let seed = W.Seeded.objects_seed in
-  let run_rows workload (a : R.Plan.analysis) =
-    let count = Row.count Row.Plan ~seed workload in
-    let p = a.R.Plan.total_pages in
-    [
-      count "rows" (R.Relation.cardinality a.R.Plan.result);
-      Row.make Row.Plan ~seed workload "wall" "ms" (a.R.Plan.wall_seconds *. 1e3);
-      count "page_reads" p.Sqp_storage.Stats.physical_reads;
-      count "page_writes" p.Sqp_storage.Stats.physical_writes;
-      count "pool_hits" p.Sqp_storage.Stats.pool_hits;
-      count "pool_misses" p.Sqp_storage.Stats.pool_misses;
-    ]
-  in
-  let count = Row.count Row.Plan ~seed "stored join, both runs" in
-  run_rows "stored join, sequential" seq
-  @ run_rows "stored join, 2 domains" par
-  @ [ count "spans" (List.length spans); count "spans_dropped" (Obs.Trace.dropped tracer) ]
+  let workload = "stored join, sequential" in
+  let count = Row.count Row.Plan ~seed workload in
+  let p = a.R.Plan.total_pages in
+  [
+    count "rows" (R.Relation.cardinality a.R.Plan.result);
+    Row.make Row.Plan ~seed workload "wall" "ms" (a.R.Plan.wall_seconds *. 1e3);
+    count "page_reads" p.Sqp_storage.Stats.physical_reads;
+    count "page_writes" p.Sqp_storage.Stats.physical_writes;
+    count "pool_hits" p.Sqp_storage.Stats.pool_hits;
+    count "pool_misses" p.Sqp_storage.Stats.pool_misses;
+    count "spans" (List.length spans);
+    count "spans_dropped" (Obs.Trace.dropped tracer);
+  ]
   (* Instruments registered by earlier benches in this process read 0
-     after the reset; only what the two runs touched is recorded. *)
+     after the reset; only what the run touched is recorded. *)
   @ List.concat_map
       (fun (name, reading) ->
         match reading with

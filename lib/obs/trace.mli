@@ -4,7 +4,7 @@
     skipped, pages touched — so the observability layer's job is to make
     those counts visible per query and per operator, not just as global
     totals.  A {e span} is one timed region of execution (a range-search
-    merge, one shard's sweep, one plan operator); spans nest, carry
+    merge, one spatial join, one plan operator); spans nest, carry
     attributes, and are delivered to a pluggable {e sink}.
 
     The [Null] sink is the off switch: every entry point checks it first

@@ -1,11 +1,12 @@
 (** A small reusable pool of worker domains.
 
-    The paper's merges are pure functions of immutable z-sorted arrays, so
-    the only machinery parallel execution needs is a way to fan a batch of
-    independent tasks out over OCaml 5 domains and collect the results in
-    task order.  The pool spawns its workers once (domain spawn costs
-    milliseconds; merge tasks cost microseconds) and reuses them for every
-    subsequent batch.
+    It fans a batch of independent tasks out over OCaml 5 domains and
+    collects the results in task order.  The pool spawns its workers once
+    (domain spawn costs milliseconds) and reuses them for every
+    subsequent batch.  No query path uses it: queries run sequentially.
+    The ingest tests drive concurrent writers with it, and the serving
+    benchmark's replay passes one to [Plan.run_in_pool],
+    which ignores it.
 
     The caller participates in each batch, so a pool created with
     [~domains:1] spawns no worker domains at all and degenerates to plain
@@ -34,9 +35,7 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     domains are safe, however: each batch tracks its own completion
     under the pool mutex, callers opportunistically execute whatever
     task is at the head of the shared queue (work from another batch
-    included), and nobody blocks on a batch that is not their own.  The
-    network server relies on this to run many sessions over one
-    long-lived pool. *)
+    included), and nobody blocks on a batch that is not their own. *)
 
 val run : t -> (unit -> 'a) list -> 'a list
 (** [run t thunks]: {!map} over a list of thunks. *)

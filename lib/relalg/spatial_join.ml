@@ -175,26 +175,3 @@ let merge_impl r ~zr s ~zs =
   | _ -> merge_reference_impl r ~zr s ~zs
 
 let merge r ~zr s ~zs = observed "spatial_join.merge" (fun () -> merge_impl r ~zr s ~zs)
-
-let merge_parallel_detailed ?shard_bits pool r ~zr s ~zs =
-  let schema = out_schema r s in
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let left = List.map (fun tu -> (zval_of sr zr tu, tu)) (Relation.tuples r) in
-  let right = List.map (fun tu -> (zval_of ss zs tu, tu)) (Relation.tuples s) in
-  let pairs, pstats, reports =
-    Sqp_parallel.Par_spatial_join.pairs_detailed ?shard_bits pool left right
-  in
-  let tuples = List.map (fun (tr, ts) -> Array.append tr ts) pairs in
-  ( Relation.make schema tuples,
-    {
-      pairs = pstats.Sqp_parallel.Par_spatial_join.pairs;
-      comparisons = pstats.Sqp_parallel.Par_spatial_join.comparisons;
-      sorted_items = pstats.Sqp_parallel.Par_spatial_join.sorted_items;
-      max_stack = 0 (* not tracked by the sharded sweeps *);
-    },
-    reports )
-
-let merge_parallel ?shard_bits pool r ~zr s ~zs =
-  observed "spatial_join.merge_parallel" (fun () ->
-      let joined, stats, _ = merge_parallel_detailed ?shard_bits pool r ~zr s ~zs in
-      (joined, stats))

@@ -5,13 +5,11 @@
     containment in either direction — which, for decomposed objects,
     means the objects overlap.
 
-    Three implementations:
+    Two implementations:
     - [merge]: sort both inputs into z order and sweep once, keeping a
       stack of currently "open" (containing) elements per side — the
-      z-order analogue of sort-merge join.  O(n log n + output).
-    - [merge_parallel]: the same sweep, z-sharded over a domain pool
-      ({!Sqp_parallel.Par_spatial_join}); output identical to [merge],
-      including tuple order.
+      z-order analogue of sort-merge join.  O(n log n + output).  Every
+      plan's z-merge join runs it, on the calling domain.
     - [nested_loop]: compare all pairs; the correctness oracle. *)
 
 type stats = {
@@ -20,7 +18,7 @@ type stats = {
   sorted_items : int;  (** total items sorted (merge only) *)
   max_stack : int;
       (** deepest combined open-element stack the sweep reached ([merge]
-          only; 0 for [nested_loop] and the sharded plan) *)
+          only; 0 for [nested_loop]) *)
 }
 
 val merge :
@@ -43,27 +41,3 @@ val nested_loop :
 (** Compare all pairs directly — O(|R| * |S|), the correctness oracle
     and the planner's choice for small inputs.  Same preconditions as
     {!merge}. *)
-
-val merge_parallel :
-  ?shard_bits:int ->
-  Sqp_parallel.Pool.t ->
-  Relation.t ->
-  zr:string ->
-  Relation.t ->
-  zs:string ->
-  Relation.t * stats
-(** Same result (and tuple order) as {!merge}, computed shard-by-shard on
-    the pool.  [stats.comparisons] reflects the parallel plan's own work,
-    so it differs from [merge]'s count; [pairs] is always equal. *)
-
-val merge_parallel_detailed :
-  ?shard_bits:int ->
-  Sqp_parallel.Pool.t ->
-  Relation.t ->
-  zr:string ->
-  Relation.t ->
-  zs:string ->
-  Relation.t * stats * Sqp_parallel.Par_spatial_join.shard_report list
-(** {!merge_parallel}, additionally returning the per-shard work
-    breakdown ({!Sqp_parallel.Par_spatial_join.shard_report}) that
-    EXPLAIN ANALYZE renders as its shard table. *)

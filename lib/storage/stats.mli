@@ -30,10 +30,10 @@ val add : t -> t -> t
 (** Counter-wise sum, as a fresh record. *)
 
 val sum : t list -> t
-(** Fold of {!add} over fresh zeros.  This is how per-shard counters from
-    parallel execution are merged back into one exact total: give each
-    shard its own [t], {!snapshot} when it finishes, and [sum] the
-    snapshots. *)
+(** Fold of {!add} over fresh zeros.  This is how separately kept
+    counters are merged into one exact total (EXPLAIN ANALYZE sums the
+    deltas of every stored relation in a plan): give each source its own
+    [t], {!snapshot} when it finishes, and [sum] the snapshots. *)
 
 val accumulate : into:t -> t -> unit
 (** Add [t]'s counters into [into] in place ([t] is unchanged).  Safe

@@ -4,15 +4,14 @@
    every range-search engine in the repository must agree on every query:
    Linear_scan (the trivial oracle), the in-memory merges (plain and
    skip), the zkd B+-tree (all four strategies) and the bucket kd-tree.
-   The parallel spatial join — which is also how a parallel plan answers
-   a range query — must match the sequential containment merge exactly
-   (including order) and the nested-loop oracle as a multiset. *)
+   The relational spatial join — which is also how a plan answers a
+   range query — must hold the skip merge's points and match the
+   nested-loop oracle as a multiset. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
 module W = Sqp_workload
 module RS = Sqp_core.Range_search
-module Par = Sqp_parallel
 module Zindex = Sqp_btree.Zindex
 
 let check = Alcotest.(check bool)
@@ -102,11 +101,10 @@ let test_range_extreme_boxes () =
       check "zkd" true (canon (fst (Zindex.range_search index box)) = expected))
     boxes
 
-(* A parallel plan answers a range query as the sharded z-merge of the
-   point relation with the box's cover.  Its rows must equal the
-   sequential merge's *exactly* — same tuples, same order — at every
-   shard depth, and hold the skip merge's points. *)
-let test_par_range_bit_identical () =
+(* A plan answers a range query as the z-merge of the point relation
+   with the box's cover; its rows must hold exactly the skip merge's
+   points. *)
+let test_range_merge_matches_skip () =
   let module R = Sqp_relalg in
   let space = Z.Space.make ~dims:2 ~depth:6 in
   let side = Z.Space.side space in
@@ -124,26 +122,16 @@ let test_par_range_bit_identical () =
          (R.Relation.tuples rel))
   in
   let qrng = W.Rng.create ~seed:8 in
-  Par.Pool.with_pool ~domains:3 (fun pool ->
-      for _ = 1 to 200 do
-        let box = random_box qrng side in
-        let cover = R.Ops.rename [ ("z", "zb") ] (R.Query.box_relation space box) in
-        let seq, _ = R.Spatial_join.merge points ~zr:"z" cover ~zs:"zb" in
-        let skip_ids =
-          List.sort compare
-            (List.map (fun (_, id) -> R.Value.Int id) (fst (RS.search_skip prep box)))
-        in
-        if ids seq <> skip_ids then Alcotest.fail "merge rows differ from the skip merge";
-        List.iter
-          (fun bits ->
-            let par, _ =
-              R.Spatial_join.merge_parallel ~shard_bits:bits pool points ~zr:"z" cover
-                ~zs:"zb"
-            in
-            if R.Relation.tuples par <> R.Relation.tuples seq then
-              Alcotest.failf "shard_bits %d: order or contents differ" bits)
-          [ 0; 1; 3; 5; 8 ]
-      done)
+  for _ = 1 to 200 do
+    let box = random_box qrng side in
+    let cover = R.Ops.rename [ ("z", "zb") ] (R.Query.box_relation space box) in
+    let merged, _ = R.Spatial_join.merge points ~zr:"z" cover ~zs:"zb" in
+    let skip_ids =
+      List.sort compare
+        (List.map (fun (_, id) -> R.Value.Int id) (fst (RS.search_skip prep box)))
+    in
+    if ids merged <> skip_ids then Alcotest.fail "merge rows differ from the skip merge"
+  done
 
 (* {1 Spatial join} *)
 
@@ -169,30 +157,7 @@ let join_inputs ~seed ~n ~max_level space =
   in
   (tag_of (objs 0), tag_of (objs 1000))
 
-let test_par_join_matches_sequential_and_oracle () =
-  let space = Z.Space.make ~dims:2 ~depth:5 in
-  Par.Pool.with_pool ~domains:3 (fun pool ->
-      List.iter
-        (fun (seed, n, max_level) ->
-          let left, right = join_inputs ~seed ~n ~max_level space in
-          let seq, seq_stats = Sqp_core.Zmerge.pairs left right in
-          let oracle, _ = Sqp_core.Zmerge.pairs_naive left right in
-          List.iter
-            (fun bits ->
-              let par, par_stats =
-                Par.Par_spatial_join.pairs ~shard_bits:bits pool left right
-              in
-              if par <> seq then
-                Alcotest.failf "seed %d bits %d: parallel join differs from merge" seed
-                  bits;
-              check_int "pairs counter exact" seq_stats.Sqp_core.Zmerge.pairs
-                par_stats.Par.Par_spatial_join.pairs;
-              check "matches nested-loop oracle" true
-                (List.sort compare par = List.sort compare oracle))
-            [ 0; 2; 4; 6 ])
-        [ (101, 12, 6); (202, 20, 8); (303, 30, 10); (404, 8, 4) ])
-
-let test_par_join_relation_level () =
+let test_join_relation_level () =
   let space = Z.Space.make ~dims:2 ~depth:5 in
   let module R = Sqp_relalg in
   let schema_of name z =
@@ -204,15 +169,11 @@ let test_par_join_relation_level () =
   in
   let left, right = join_inputs ~seed:55 ~n:25 ~max_level:8 space in
   let r = rel_of "rid" "zr" left and s = rel_of "sid" "zs" right in
-  let seq, seq_stats = R.Spatial_join.merge r ~zr:"zr" s ~zs:"zs" in
-  let naive, _ = R.Spatial_join.nested_loop r ~zr:"zr" s ~zs:"zs" in
-  Par.Pool.with_pool ~domains:4 (fun pool ->
-      let par, par_stats = R.Spatial_join.merge_parallel pool r ~zr:"zr" s ~zs:"zs" in
-      check "tuples bit-identical to merge" true
-        (R.Relation.tuples par = R.Relation.tuples seq);
-      check_int "pairs exact" seq_stats.R.Spatial_join.pairs
-        par_stats.R.Spatial_join.pairs;
-      check "multiset equals nested loop" true (R.Relation.equal_contents par naive))
+  let merged, merge_stats = R.Spatial_join.merge r ~zr:"zr" s ~zs:"zs" in
+  let naive, naive_stats = R.Spatial_join.nested_loop r ~zr:"zr" s ~zs:"zs" in
+  check_int "pairs exact" naive_stats.R.Spatial_join.pairs
+    merge_stats.R.Spatial_join.pairs;
+  check "multiset equals nested loop" true (R.Relation.equal_contents merged naive)
 
 let () =
   Alcotest.run "differential"
@@ -223,12 +184,8 @@ let () =
           Alcotest.test_case "clustered dataset" `Quick test_range_clustered;
           Alcotest.test_case "diagonal dataset" `Quick test_range_diagonal;
           Alcotest.test_case "extreme boxes" `Quick test_range_extreme_boxes;
-          Alcotest.test_case "parallel bit-identical" `Quick test_par_range_bit_identical;
+          Alcotest.test_case "merge = skip merge" `Quick test_range_merge_matches_skip;
         ] );
       ( "spatial join",
-        [
-          Alcotest.test_case "parallel = merge = oracle" `Quick
-            test_par_join_matches_sequential_and_oracle;
-          Alcotest.test_case "relation level" `Quick test_par_join_relation_level;
-        ] );
+        [ Alcotest.test_case "relation level" `Quick test_join_relation_level ] );
     ]

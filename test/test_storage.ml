@@ -66,6 +66,42 @@ let test_stats_accumulate_aliasing () =
   S.Stats.accumulate ~into:b b;
   check "self-accumulate doubles" true (b = fill 20 40 60 80 100 120)
 
+(* {1 Stats merge} *)
+
+let pager_workload seed =
+  (* A deterministic little pager session, returning its final stats. *)
+  let module W = Sqp_workload in
+  let pager = S.Pager.create () in
+  let rng = W.Rng.create ~seed in
+  let ids = Array.init 30 (fun i -> S.Pager.alloc pager (i * i)) in
+  for _ = 1 to 200 do
+    let id = ids.(W.Rng.int rng 30) in
+    if W.Rng.bool rng then ignore (S.Pager.read pager id)
+    else S.Pager.write pager id (W.Rng.int rng 1000)
+  done;
+  S.Pager.free pager ids.(0);
+  S.Stats.snapshot (S.Pager.stats pager)
+
+let test_stats_sum_exact () =
+  let module Pool = Sqp_parallel.Pool in
+  (* Each pool task owns its own pager; summed snapshots must equal the
+     counters of the same workloads run back to back. *)
+  let seeds = Array.init 8 (fun i -> 1000 + i) in
+  let parallel_total =
+    Pool.with_pool ~domains:4 (fun pool ->
+        S.Stats.sum (Array.to_list (Pool.map pool pager_workload seeds)))
+  in
+  let sequential_total = S.Stats.sum (Array.to_list (Array.map pager_workload seeds)) in
+  check "merged totals equal sequential sum" true (parallel_total = sequential_total);
+  (* And the sum really is field-wise. *)
+  let singles = Array.map pager_workload seeds in
+  check_int "physical_reads add up"
+    (Array.fold_left (fun acc s -> acc + s.S.Stats.physical_reads) 0 singles)
+    parallel_total.S.Stats.physical_reads;
+  check_int "physical_writes add up"
+    (Array.fold_left (fun acc s -> acc + s.S.Stats.physical_writes) 0 singles)
+    parallel_total.S.Stats.physical_writes
+
 (* {1 Pager} *)
 
 let test_pager_basic () =
@@ -272,6 +308,8 @@ let () =
           Alcotest.test_case "accumulate under aliasing" `Quick
             test_stats_accumulate_aliasing;
         ] );
+      ( "stats merge",
+        [ Alcotest.test_case "per-shard sum is exact" `Quick test_stats_sum_exact ] );
       ( "pager",
         [
           Alcotest.test_case "basics" `Quick test_pager_basic;
