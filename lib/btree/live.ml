@@ -39,11 +39,10 @@ type scan_stats = { entries_scanned : int; elements : int; results : int }
 (* {1 Record codecs}
 
    One page store per table; each record (page payload) starts with a
-   tag byte: 'M' metadata, 'B' a base-image chunk, 'L' a logged batch
-   part, 'Z' a front-coded base-image chunk (checkpoints write 'Z'
-   whenever the space's z values pack into {!Sqp_zorder.Zpacked}; 'B'
-   remains both the fallback and the legacy decode path, so stores
-   written before compression keep loading).  A batch too big for one
+   tag byte: 'M' metadata, 'L' a logged batch part, 'Z' a front-coded
+   base-image chunk (what checkpoints write), 'B' a fixed-width
+   base-image chunk (read only: stores written before compression keep
+   loading).  A batch too big for one
    page is split over parts allocated in the same atomic store batch,
    so it is still all-or-nothing. *)
 
@@ -130,12 +129,6 @@ let decode_op ~space ~decode r =
   | 1 -> Delete (decode_point space r)
   | n -> fail r (Printf.sprintf "unknown live op tag %d" n)
 
-let encode_entry t (p, v) =
-  let b = Buffer.create 32 in
-  encode_point t.space b p;
-  buf_str b (t.encode v);
-  Buffer.contents b
-
 (* Greedy packing of encoded items into parts of at most [cap] bytes
    (beyond the fixed per-part header). *)
 let pack ~cap ~header items =
@@ -166,85 +159,69 @@ let meta_record space ~base_seq =
 
 let log_header_bytes = 1 + 8 + 2 + 2 (* 'L' seq part count *)
 
-let base_header_bytes = 1 + 4 + 2 (* 'B' part count *)
-
 let restart_interval = 16
 
 (* 'Z' part:u32 count:u16 run_bytes:u16, then the 7-byte run header. *)
 let z_base_header_bytes = 1 + 4 + 2 + 2 + 7
 
 (* Allocate the base-image chunks for [entries] (already in z order)
-   inside the currently open store batch: front-coded 'Z' chunks when
-   the space packs, legacy 'B' chunks otherwise. *)
+   inside the currently open store batch, as front-coded 'Z' chunks. *)
 let alloc_base t store entries =
   let cap = FP.payload_capacity store in
-  if not (Z.Zpacked.fits_space t.space) then
-    let encoded = List.map (encode_entry t) entries in
-    List.iteri
-      (fun part items ->
-        let b = Buffer.create cap in
-        buf_u8 b (Char.code 'B');
-        buf_u32 b part;
-        buf_u16 b (List.length items);
-        List.iter (Buffer.add_string b) items;
-        ignore (FP.alloc store (Buffer.to_bytes b)))
-      (pack ~cap ~header:base_header_bytes encoded)
-  else begin
-    let total = Z.Space.total_bits t.space in
-    let kb bits = (bits + 7) / 8 in
-    (* Greedy byte-exact packing mirroring the Zrun entry encodings:
-       a restart costs its offset slot plus the whole key, any other a
-       shared byte plus its suffix. *)
-    let parts = ref [] and zs = ref [] and ps = ref [] and n = ref 0 in
-    let bytes = ref z_base_header_bytes in
-    let prev = ref Z.Zpacked.empty in
-    let flush () =
-      if !n > 0 then begin
-        parts := (List.rev !zs, List.rev !ps) :: !parts;
-        zs := [];
-        ps := [];
-        n := 0;
-        bytes := z_base_header_bytes
-      end
-    in
-    List.iter
-      (fun (p, v) ->
-        let z = Z.Zpacked.shuffle t.space p in
-        let payload = t.encode v in
-        let plen = String.length payload in
-        let cost_at i prev =
-          (if i mod restart_interval = 0 then 2 + kb total
-           else 1 + kb (total - Z.Zpacked.common_prefix_len prev z))
-          + 2 + plen
-        in
-        let cost = cost_at !n !prev in
-        if !n > 0 && !bytes + cost > cap then flush ();
-        let cost = if !n = 0 then cost_at 0 !prev else cost in
-        if z_base_header_bytes + cost > cap then
-          invalid_arg "Live: record exceeds page capacity";
-        zs := z :: !zs;
-        ps := payload :: !ps;
-        bytes := !bytes + cost;
-        prev := z;
-        incr n)
-      entries;
-    flush ();
-    List.iteri
-      (fun part (zl, pl) ->
-        let run =
-          Z.Zrun.encode ~restart_interval ~fixed_len:total (Array.of_list zl)
-        in
-        let rs = Z.Zrun.to_string run in
-        let b = Buffer.create cap in
-        buf_u8 b (Char.code 'Z');
-        buf_u32 b part;
-        buf_u16 b (List.length zl);
-        buf_u16 b (String.length rs);
-        Buffer.add_string b rs;
-        List.iter (fun payload -> buf_str b payload) pl;
-        ignore (FP.alloc store (Buffer.to_bytes b)))
-      (List.rev !parts)
-  end
+  let total = Z.Space.total_bits t.space in
+  let kb bits = (bits + 7) / 8 in
+  (* Greedy byte-exact packing mirroring the Zrun entry encodings:
+     a restart costs its offset slot plus the whole key, any other a
+     shared byte plus its suffix. *)
+  let parts = ref [] and zs = ref [] and ps = ref [] and n = ref 0 in
+  let bytes = ref z_base_header_bytes in
+  let prev = ref Z.Zpacked.empty in
+  let flush () =
+    if !n > 0 then begin
+      parts := (List.rev !zs, List.rev !ps) :: !parts;
+      zs := [];
+      ps := [];
+      n := 0;
+      bytes := z_base_header_bytes
+    end
+  in
+  List.iter
+    (fun (p, v) ->
+      let z = Z.Zpacked.shuffle t.space p in
+      let payload = t.encode v in
+      let plen = String.length payload in
+      let cost_at i prev =
+        (if i mod restart_interval = 0 then 2 + kb total
+         else 1 + kb (total - Z.Zpacked.common_prefix_len prev z))
+        + 2 + plen
+      in
+      let cost = cost_at !n !prev in
+      if !n > 0 && !bytes + cost > cap then flush ();
+      let cost = if !n = 0 then cost_at 0 !prev else cost in
+      if z_base_header_bytes + cost > cap then
+        invalid_arg "Live: record exceeds page capacity";
+      zs := z :: !zs;
+      ps := payload :: !ps;
+      bytes := !bytes + cost;
+      prev := z;
+      incr n)
+    entries;
+  flush ();
+  List.iteri
+    (fun part (zl, pl) ->
+      let run =
+        Z.Zrun.encode ~restart_interval ~fixed_len:total (Array.of_list zl)
+      in
+      let rs = Z.Zrun.to_string run in
+      let b = Buffer.create cap in
+      buf_u8 b (Char.code 'Z');
+      buf_u32 b part;
+      buf_u16 b (List.length zl);
+      buf_u16 b (String.length rs);
+      Buffer.add_string b rs;
+      List.iter (fun payload -> buf_str b payload) pl;
+      ignore (FP.alloc store (Buffer.to_bytes b)))
+    (List.rev !parts)
 
 let alloc_log t store ~seq ops =
   let encoded = List.map (encode_op t) ops in
@@ -323,7 +300,11 @@ let load_store ~decode ~leaf_capacity ~internal_capacity ~path store =
           let depth = rd_u8 r in
           let base_seq = rd_i64 r in
           if !meta <> None then fail r "duplicate live-table metadata";
-          meta := Some (Z.Space.make ~dims ~depth, base_seq)
+          let space =
+            try Z.Space.make ~dims ~depth
+            with Invalid_argument msg -> fail r ("bad live-table space: " ^ msg)
+          in
+          meta := Some (space, base_seq)
       | 'B' ->
           let part = rd_u32 r in
           let count = rd_u16 r in

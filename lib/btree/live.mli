@@ -70,7 +70,12 @@ val open_durable :
 (** Reopen a durable table: runs page-store crash recovery, then
     replays the base image and the logged batches in sequence order.
     The space (dims, depth) is recovered from the store's metadata.
-    @raise Sqp_storage.Storage_error.Corrupt on unexplainable damage. *)
+    Base images are read in both chunk forms: front-coded z runs (what
+    {!checkpoint} writes) and the fixed-width chunks of stores written
+    before compression.
+    @raise Sqp_storage.Storage_error.Corrupt on unexplainable damage,
+    including metadata naming a space {!Sqp_zorder.Space.make} refuses
+    ([dims = 0], or wider than 61 bits). *)
 
 val close : 'a t -> unit
 (** Close the backing store, if any; idempotent. *)

@@ -43,8 +43,7 @@ let encode_meta_v3 ~dims ~depth ~leaf_capacity ~count ~page_budget =
 
 type meta = {
   version : int;
-  dims : int;
-  depth : int;
+  space : Z.Space.t;
   leaf_capacity : int;
   count : int;
   page_budget : int option;  (* v3 only, [None] when 0 / v2 *)
@@ -68,10 +67,14 @@ let decode_meta ~path buf =
       | 0 -> None
       | b -> Some b
   in
+  let space =
+    try Z.Space.make ~dims:(Bytes.get_uint8 buf 4) ~depth:(Bytes.get_uint8 buf 5)
+    with Invalid_argument msg ->
+      Storage_error.corrupt ~path ("bad index metadata space: " ^ msg)
+  in
   {
     version;
-    dims = Bytes.get_uint8 buf 4;
-    depth = Bytes.get_uint8 buf 5;
+    space;
     leaf_capacity = Bytes.get_uint16_be buf 6;
     count = Int64.to_int (Bytes.get_int64_be buf 8);
     page_budget;
@@ -173,19 +176,11 @@ let save_error_cleanup store tmp e =
   (try Sys.remove (Sqp_storage.Journal.journal_path tmp) with Sys_error _ -> ());
   raise e
 
-let save ?(io = Faulty_io.none) ?format ~path ?(page_bytes = 4096) ~encode index =
+let save ?(io = Faulty_io.none) ?(format = V3) ~path ?(page_bytes = 4096) ~encode
+    index =
   let space = Zindex.space index in
   let dims = Z.Space.dims space and depth = Z.Space.depth space in
   let total = Z.Space.total_bits space in
-  let format =
-    match format with
-    | Some f -> f
-    | None ->
-        (* Spaces too deep for packed z values stay on the v2 encoding. *)
-        if Z.Zpacked.fits_space space then V3 else V2
-  in
-  if format = V3 && not (Z.Zpacked.fits_space space) then
-    invalid_arg "Persist.save: space too deep for the v3 format";
   (* Build the new store beside the old one, then atomically rename over
      it: a crash at any point leaves either the old or the new index. *)
   let tmp = path ^ ".tmp" in
@@ -251,11 +246,7 @@ let save ?(io = Faulty_io.none) ?format ~path ?(page_bytes = 4096) ~encode index
           in
           List.iter
             (fun (zbs, (_, v)) ->
-              let z =
-                match Z.Zpacked.of_bitstring zbs with
-                | Some z -> z
-                | None -> assert false (* fits_space checked above *)
-              in
+              let z = Z.Zpacked.of_bitstring zbs in
               let payload = encode v in
               let plen = String.length payload in
               if plen > 0xFFFF then invalid_arg "Persist: payload too long";
@@ -305,16 +296,17 @@ let load ?(io = Faulty_io.none) ?(lenient = false) ~path ~decode () =
           | Some m when m.version = 2 ->
               let off = ref 0 in
               while !off < Bytes.length payload do
-                let point, p, next = decode_entry ~path m.dims payload !off in
+                let point, p, next =
+                  decode_entry ~path (Z.Space.dims m.space) payload !off
+                in
                 entries := (point, decode p) :: !entries;
                 off := next
               done
           | Some m ->
-              let space = Z.Space.make ~dims:m.dims ~depth:m.depth in
               let zs, payloads = decode_page_v3 ~path payload in
               Array.iteri
                 (fun i z ->
-                  entries := (point_of_z space z, decode payloads.(i)) :: !entries)
+                  entries := (point_of_z m.space z, decode payloads.(i)) :: !entries)
                 zs);
       match !meta with
       | None -> Storage_error.corrupt ~path "empty store: no index metadata page"
@@ -324,9 +316,8 @@ let load ?(io = Faulty_io.none) ?(lenient = false) ~path ~decode () =
             Storage_error.corrupt ~path
               (Printf.sprintf "entry count mismatch: metadata says %d, found %d"
                  m.count (Array.length entries));
-          let space = Z.Space.make ~dims:m.dims ~depth:m.depth in
           Zindex.of_points ~leaf_capacity:m.leaf_capacity
-            ?page_budget:m.page_budget space entries)
+            ?page_budget:m.page_budget m.space entries)
 
 (* {1 Inspection (fsck)} *)
 
@@ -358,7 +349,9 @@ let inspect ?(io = Faulty_io.none) ~path () =
                 if m.version = 2 then begin
                   let off = ref 0 and n = ref 0 in
                   while !off < Bytes.length payload do
-                    let _, _, next = decode_entry ~path m.dims payload !off in
+                    let _, _, next =
+                      decode_entry ~path (Z.Space.dims m.space) payload !off
+                    in
                     incr n;
                     off := next
                   done;
@@ -392,8 +385,8 @@ let inspect ?(io = Faulty_io.none) ~path () =
       | Some m ->
           {
             version = m.version;
-            dims = m.dims;
-            depth = m.depth;
+            dims = Z.Space.dims m.space;
+            depth = Z.Space.depth m.space;
             count = m.count;
             found = !found;
             data_pages = !data_pages;

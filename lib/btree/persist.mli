@@ -37,12 +37,12 @@ val save :
   'a Zindex.t ->
   int
 (** Write the index contents; returns the number of data pages written.
-    [page_bytes] defaults to 4096.  [format] defaults to [V3] when the
-    space's z values fit {!Sqp_zorder.Zpacked} (≤126 bits) and [V2]
-    otherwise; pass [V2] to write the legacy format explicitly.  [io]
-    (for fault-injection tests) defaults to passthrough.
+    [page_bytes] defaults to 4096.  [format] defaults to [V3] (every
+    space's z values fit one {!Sqp_zorder.Zpacked} word); pass [V2] to
+    write the legacy format explicitly.  [io] (for fault-injection tests)
+    defaults to passthrough.
     @raise Invalid_argument if an encoded payload is larger than a page
-    can hold, or [V3] is forced on a space too deep for it. *)
+    can hold. *)
 
 val load :
   ?io:Sqp_storage.Faulty_io.injector ->
@@ -56,7 +56,8 @@ val load :
     mismatch between the metadata entry count and the entries actually
     present is tolerated: whatever survived is loaded.
     @raise Sqp_storage.Storage_error.Corrupt on format or checksum
-    errors. *)
+    errors, including a metadata page whose space {!Sqp_zorder.Space.make}
+    refuses ([dims = 0], or wider than 61 bits). *)
 
 (** {1 Inspection} *)
 
@@ -79,4 +80,4 @@ val inspect :
     structural problems, without rebuilding the index.  Unlike {!load},
     a damaged data page is reported, not fatal.
     @raise Sqp_storage.Storage_error.Corrupt only when the store has no
-    readable metadata page. *)
+    readable metadata page (a bad magic, or a space {!load} refuses). *)

@@ -242,8 +242,6 @@ let range_search ?(strategy = Merge) t box =
             ~reseek_elements:reseek;
           finish t st
       | Bigmin ->
-          if not (Z.Zrange.usable t.space) then
-            invalid_arg "Zindex: Bigmin strategy needs total bits <= 61";
           let total = Z.Space.total_bits t.space in
           let c = ref (Tree.seek t.tree (Z.Interleave.shuffle t.space lo)) in
           note_page st !c;

@@ -1158,8 +1158,6 @@ let split ?(tables = [ "L" ]) t ~from_ ~at ~host ~port =
 (* {1 Lifecycle} *)
 
 let start ?(config = default_config) ?metrics ~space ~map () =
-  if not (Z.Zrange.usable space) then
-    invalid_arg "Router.start: space exceeds 61 z bits";
   let reg = match metrics with Some m -> m | None -> Metrics.global () in
   let t =
     {

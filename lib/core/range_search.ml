@@ -4,28 +4,20 @@ type space = Z.Space.t
 
 type 'a prepared = {
   space : space;
-  zs : Z.Bitstring.t array;            (* sorted *)
-  pts : (Sqp_geom.Point.t * 'a) array; (* aligned with zs *)
-  keys : int array option;
-      (* single-word keys of zs, when the whole space fits one 63-bit
-         word: the kernels then merge over flat int arrays.  None sends
-         every search down the bitstring reference path. *)
+  keys : int array;
+      (* sorted word keys ({!Z.Zpacked} words) of the points: the
+         kernels merge over this flat int array *)
+  pts : (Sqp_geom.Point.t * 'a) array; (* aligned with keys *)
 }
 
 let prepare space points =
-  let tagged =
-    Array.map (fun (p, v) -> (Z.Interleave.shuffle space p, (p, v))) points
+  let keyed =
+    Array.map (fun (p, v) -> ((Z.Zpacked.shuffle space p).Z.Zpacked.w, (p, v))) points
   in
-  Array.sort (fun (a, _) (b, _) -> Z.Bitstring.compare a b) tagged;
-  let zs = Array.map fst tagged in
-  let keys =
-    if Z.Space.total_bits space <= Z.Zpacked.word_bits then
-      Option.bind (Z.Zpacked.pack_array zs) Z.Zkernel.uniform_word_keys
-    else None
-  in
-  { space; zs; pts = Array.map snd tagged; keys }
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) keyed;
+  { space; keys = Array.map fst keyed; pts = Array.map snd keyed }
 
-let prepared_length p = Array.length p.zs
+let prepared_length p = Array.length p.keys
 
 type counters = {
   point_steps : int;
@@ -35,42 +27,20 @@ type counters = {
   comparisons : int;
 }
 
-type range = { zlo : Z.Bitstring.t; zhi : Z.Bitstring.t }
-
-let box_ranges prep box =
-  let total = Z.Space.total_bits prep.space in
-  let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
-  let els = Z.Decompose.decompose_box prep.space ~lo ~hi in
-  Array.of_list
-    (List.map
-       (fun e ->
-         {
-           zlo = Z.Bitstring.pad_to e total false;
-           zhi = Z.Bitstring.pad_to e total true;
-         })
-       els)
-
-(* The same scan ranges as bare word keys for narrow spaces: two flat
-   int arrays — per-query range construction is a large share of a
-   cache-warm search, so it is kept allocation-lean. *)
+(* The scan ranges of a box as bare word keys: two flat int arrays —
+   per-query range construction is a large share of a cache-warm search,
+   so it is kept allocation-lean. *)
 let key_ranges prep box =
   let total = Z.Space.total_bits prep.space in
   let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
   let els = Z.Decompose.decompose_box prep.space ~lo ~hi in
   let n = List.length els in
   let klo = Array.make n 0 and khi = Array.make n 0 in
-  let j = ref 0 in
-  List.iter
-    (fun e ->
-      let p =
-        match Z.Zpacked.of_bitstring e with
-        | Some p -> p
-        | None -> assert false (* narrow spaces always pack *)
-      in
-      let lo_k, hi_k = Z.Zkernel.element_keys ~total p in
-      klo.(!j) <- lo_k;
-      khi.(!j) <- hi_k;
-      incr j)
+  List.iteri
+    (fun j e ->
+      let lo_k, hi_k = Z.Zkernel.element_keys ~total (Z.Zpacked.of_bitstring e) in
+      klo.(j) <- lo_k;
+      khi.(j) <- hi_k)
     els;
   { Z.Zkernel.klo; khi }
 
@@ -121,149 +91,21 @@ let counters_of_kernel (c : Z.Zkernel.range_counters) =
     comparisons = c.comparisons;
   }
 
-let search_plain_reference_impl prep box =
+(* Both merges run on the word-key kernels; [merge] is one of them. *)
+let search_with merge prep box =
   match clip prep box with
-  | None ->
-      ([], { point_steps = 0; element_steps = 0; point_jumps = 0; element_jumps = 0; comparisons = 0 })
+  | None -> ([], no_counters)
   | Some box ->
-      let ranges = box_ranges prep box in
-      let np = Array.length prep.zs and nb = Array.length ranges in
-      let point_steps = ref 0 and element_steps = ref 0 and comparisons = ref 0 in
       let acc = ref [] in
-      let i = ref 0 and j = ref 0 in
-      while !i < np && !j < nb do
-        let z = prep.zs.(!i) and r = ranges.(!j) in
-        incr comparisons;
-        if Z.Bitstring.compare z r.zlo < 0 then begin
-          incr i;
-          incr point_steps
-        end
-        else begin
-          incr comparisons;
-          if Z.Bitstring.compare z r.zhi > 0 then begin
-            incr j;
-            incr element_steps
-          end
-          else begin
-            acc := prep.pts.(!i) :: !acc;
-            incr i;
-            incr point_steps
-          end
-        end
-      done;
-      ( List.rev !acc,
-        {
-          point_steps = !point_steps;
-          element_steps = !element_steps;
-          point_jumps = 0;
-          element_jumps = 0;
-          comparisons = !comparisons;
-        } )
+      let emit i = acc := prep.pts.(i) :: !acc in
+      let c = merge prep.keys (key_ranges prep box) emit in
+      (List.rev !acc, counters_of_kernel c)
 
-let search_plain_reference prep box =
-  observed "range_search.plain_reference" search_plain_reference_impl prep box
+let search_plain prep box =
+  observed "range_search.plain" (search_with Z.Zkernel.range_plain_keys) prep box
 
-let search_plain_impl prep box =
-  match prep.keys with
-  | None -> search_plain_reference_impl prep box
-  | Some ks -> (
-      match clip prep box with
-      | None -> ([], no_counters)
-      | Some box ->
-          let acc = ref [] in
-          let emit i = acc := prep.pts.(i) :: !acc in
-          let c = Z.Zkernel.range_plain_keys ks (key_ranges prep box) emit in
-          (List.rev !acc, counters_of_kernel c))
-
-let search_plain prep box = observed "range_search.plain" search_plain_impl prep box
-
-(* First index in [zs[lo, hi)] with zs.(i) >= z (binary search = random
-   access). *)
-let lower_bound_z ?(lo = 0) ?hi zs z comparisons =
-  let lo = ref lo and hi = ref (match hi with Some h -> h | None -> Array.length zs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr comparisons;
-    if Z.Bitstring.compare zs.(mid) z < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* First index in [ranges] with zhi >= z. *)
-let first_live_range ranges z comparisons =
-  let lo = ref 0 and hi = ref (Array.length ranges) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr comparisons;
-    if Z.Bitstring.compare ranges.(mid).zhi z < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let search_skip_reference_impl prep box =
-  match clip prep box with
-  | None ->
-      ([], { point_steps = 0; element_steps = 0; point_jumps = 0; element_jumps = 0; comparisons = 0 })
-  | Some box ->
-      let ranges = box_ranges prep box in
-      let np = Array.length prep.zs and nb = Array.length ranges in
-      let point_steps = ref 0 and element_steps = ref 0 in
-      let point_jumps = ref 0 and element_jumps = ref 0 in
-      let comparisons = ref 0 in
-      let acc = ref [] in
-      let i = ref 0 and j = ref 0 in
-      (if np > 0 && nb > 0 then begin
-         (* Initial random access: position P at the box's first z value. *)
-         i := lower_bound_z prep.zs ranges.(0).zlo comparisons;
-         incr point_jumps
-       end);
-      while !i < np && !j < nb do
-        let z = prep.zs.(!i) and r = ranges.(!j) in
-        incr comparisons;
-        if Z.Bitstring.compare z r.zlo < 0 then begin
-          (* Point is before the current element: jump P forward.  The
-             target cannot be behind the cursor (zs is sorted), so the
-             binary search is bounded below by it. *)
-          i := lower_bound_z ~lo:!i prep.zs r.zlo comparisons;
-          incr point_jumps
-        end
-        else begin
-          incr comparisons;
-          if Z.Bitstring.compare z r.zhi > 0 then begin
-            (* Point is past the current element: jump B forward. *)
-            j := first_live_range ranges z comparisons;
-            incr element_jumps
-          end
-          else begin
-            acc := prep.pts.(!i) :: !acc;
-            incr i;
-            incr point_steps
-          end
-        end
-      done;
-      ( List.rev !acc,
-        {
-          point_steps = !point_steps;
-          element_steps = !element_steps;
-          point_jumps = !point_jumps;
-          element_jumps = !element_jumps;
-          comparisons = !comparisons;
-        } )
-
-let search_skip_reference prep box =
-  observed "range_search.skip_reference" search_skip_reference_impl prep box
-
-let search_skip_impl prep box =
-  match prep.keys with
-  | None -> search_skip_reference_impl prep box
-  | Some ks -> (
-      match clip prep box with
-      | None -> ([], no_counters)
-      | Some box ->
-          let acc = ref [] in
-          let emit i = acc := prep.pts.(i) :: !acc in
-          let c = Z.Zkernel.range_skip_keys ks (key_ranges prep box) emit in
-          (List.rev !acc, counters_of_kernel c))
-
-let search_skip prep box = observed "range_search.skip" search_skip_impl prep box
+let search_skip prep box =
+  observed "range_search.skip" (search_with Z.Zkernel.range_skip_keys) prep box
 
 type trace_step = {
   description : string;
@@ -276,6 +118,7 @@ let search_trace prep box =
   | None -> ([], [ { description = "query box outside the grid"; point_z = None; element_z = None } ])
   | Some box ->
       let total = Z.Space.total_bits prep.space in
+      let zs = Array.map (fun (p, _) -> Z.Interleave.shuffle prep.space p) prep.pts in
       let lo = Sqp_geom.Box.lo box and hi = Sqp_geom.Box.hi box in
       let els = Array.of_list (Z.Decompose.decompose_box prep.space ~lo ~hi) in
       let ranges =
@@ -284,13 +127,13 @@ let search_trace prep box =
             (e, Z.Bitstring.pad_to e total false, Z.Bitstring.pad_to e total true))
           els
       in
-      let np = Array.length prep.zs and nb = Array.length ranges in
+      let np = Array.length zs and nb = Array.length ranges in
       let steps = ref [] and acc = ref [] in
       let note description i j =
         steps :=
           {
             description;
-            point_z = (if i < np then Some (Z.Bitstring.to_string prep.zs.(i)) else None);
+            point_z = (if i < np then Some (Z.Bitstring.to_string zs.(i)) else None);
             element_z =
               (if j < nb then
                  let e, _, _ = ranges.(j) in
@@ -299,17 +142,25 @@ let search_trace prep box =
           }
           :: !steps
       in
+      (* First index of zs with zs.(i) >= z (binary search). *)
+      let lower_bound z =
+        let lo = ref 0 and hi = ref np in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if Z.Bitstring.compare zs.(mid) z < 0 then lo := mid + 1 else hi := mid
+        done;
+        !lo
+      in
       let i = ref 0 and j = ref 0 in
-      let dummy = ref 0 in
       while !i < np && !j < nb do
-        let z = prep.zs.(!i) in
+        let z = zs.(!i) in
         let e, rlo, rhi = ranges.(!j) in
         if Z.Bitstring.compare z rlo < 0 then begin
           note
             (Printf.sprintf "point z %s before element %s: random access into P"
                (Z.Bitstring.to_string z) (Z.Bitstring.to_string e))
             !i !j;
-          i := lower_bound_z prep.zs rlo dummy
+          i := lower_bound rlo
         end
         else if Z.Bitstring.compare z rhi > 0 then begin
           note

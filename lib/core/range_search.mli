@@ -7,6 +7,11 @@
     accesses (binary search) to skip dead stretches of either sequence —
     plus a step-by-step trace used to reproduce Figure 5.
 
+    Both merges run on the word-key kernels of {!Sqp_zorder.Zkernel} —
+    every z value of a space is one [int] ({!Sqp_zorder.Space.make} caps
+    a space at 61 bits).  The bitstring implementations they mirror,
+    counter for counter, are test oracles in [test/oracle].
+
     The disk-resident version of the same algorithm lives in
     {!Sqp_btree.Zindex}; this module is the algorithmic core, with exact
     work counters, suitable for analysis and benchmarks. *)
@@ -14,10 +19,12 @@
 type space = Sqp_zorder.Space.t
 
 type 'a prepared
-(** The sorted point sequence P ([z, point, payload]). *)
+(** The sorted point sequence P: word-key z values and the points with
+    their payloads, in z order. *)
 
 val prepare : space -> (Sqp_geom.Point.t * 'a) array -> 'a prepared
-(** Step 1: shuffle every point and sort by z value. *)
+(** Step 1: shuffle every point and sort by z value.
+    @raise Invalid_argument on a point outside the space. *)
 
 val prepared_length : 'a prepared -> int
 
@@ -31,28 +38,15 @@ type counters = {
 
 val search_plain :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** The unoptimized merge: walk both sequences entry by entry.  Runs on
-    the word-key kernel ({!Sqp_zorder.Zkernel.range_plain_keys}) when the
-    whole space fits one 63-bit word ([Space.total_bits <=
-    Zpacked.word_bits]) and on {!search_plain_reference} otherwise;
-    results {e and counters} are identical either way. *)
+(** The unoptimized merge: walk both sequences entry by entry
+    ({!Sqp_zorder.Zkernel.range_plain_keys}). *)
 
 val search_skip :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
 (** The optimized merge: when the current point z value leaves the
     current element, binary-search the other sequence ("parts of the
-    space that could not possibly contribute are skipped").  Word-key
-    kernel or bitstring reference, chosen as for {!search_plain}. *)
-
-val search_plain_reference :
-  'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** The byte-wise bitstring implementation of {!search_plain} — works
-    for any space, serves as the differential oracle and benchmark
-    baseline. *)
-
-val search_skip_reference :
-  'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * counters
-(** Bitstring implementation of {!search_skip}; same oracle role. *)
+    space that could not possibly contribute are skipped")
+    ({!Sqp_zorder.Zkernel.range_skip_keys}). *)
 
 type trace_step = {
   description : string;
@@ -62,4 +56,5 @@ type trace_step = {
 
 val search_trace :
   'a prepared -> Sqp_geom.Box.t -> (Sqp_geom.Point.t * 'a) list * trace_step list
-(** The skip merge, narrated step by step (Figure 5's walkthrough). *)
+(** The skip merge, narrated step by step (Figure 5's walkthrough), on
+    the bitstring z values it prints. *)

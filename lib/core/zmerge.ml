@@ -2,8 +2,6 @@ module B = Sqp_zorder.Bitstring
 
 type stats = { pairs : int; items : int; comparisons : int }
 
-type ('a, 'b) item = Left of 'a | Right of 'b
-
 (* Observability: one span per merge with its work counters, plus running
    totals in the ambient metrics registry.  One branch when tracing is
    off, so the hot sequential path is unchanged. *)
@@ -33,92 +31,27 @@ let observed name merge left right =
     r
   end
 
-(* Reference (oracle) path: list-based bitstring sweep.  Each side is
-   stable-sorted separately and the two sorted lists are merged tagged in
-   a single pass — equal z values take the left side first, which is
+(* Word-key both sides, sort each by stable permutation and sweep with
+   the flat-array kernel.  Equal z values take the left side first —
    exactly the order a stable sort of left-then-right would produce. *)
-let pairs_reference_impl left right =
-  let comparisons = ref 0 in
-  let cmp (za, _) (zb, _) =
-    incr comparisons;
-    B.compare za zb
-  in
-  let sl = List.sort cmp left and sr = List.sort cmp right in
-  let items =
-    let rec go l r acc =
-      match (l, r) with
-      | [], [] -> List.rev acc
-      | (z, a) :: tl, [] -> go tl [] ((z, Left a) :: acc)
-      | [], (z, b) :: tr -> go [] tr ((z, Right b) :: acc)
-      | ((zl, a) :: tl as l'), ((zr, b) :: tr as r') ->
-          incr comparisons;
-          if B.compare zl zr <= 0 then go tl r' ((zl, Left a) :: acc)
-          else go l' tr ((zr, Right b) :: acc)
-    in
-    go sl sr []
-  in
-  let stack_l = ref [] and stack_r = ref [] in
-  let pop_closed z stack =
-    let rec go = function
-      | (ze, _) :: rest
-        when (incr comparisons;
-              not (B.is_prefix ze z)) ->
-          go rest
-      | kept -> kept
-    in
-    stack := go !stack
-  in
-  let out = ref [] and count = ref 0 in
-  List.iter
-    (fun (z, item) ->
-      pop_closed z stack_l;
-      pop_closed z stack_r;
-      match item with
-      | Left a ->
-          List.iter
-            (fun (_, b) ->
-              incr count;
-              out := (a, b) :: !out)
-            !stack_r;
-          stack_l := (z, a) :: !stack_l
-      | Right b ->
-          List.iter
-            (fun (_, a) ->
-              incr count;
-              out := (a, b) :: !out)
-            !stack_l;
-          stack_r := (z, b) :: !stack_r)
-    items;
-  (List.rev !out, { pairs = !count; items = List.length items; comparisons = !comparisons })
-
-let pairs_reference left right =
-  observed "zmerge.pairs_reference" pairs_reference_impl left right
-
-(* Fast path: word-key both sides, sort each by stable permutation and
-   sweep with the flat-array kernel; output (content and order) is
-   bit-identical to the reference.  Any z value wider than one 63-bit
-   word sends the whole call to the reference path. *)
 let pairs_impl left right =
   let comparisons = ref 0 in
   let keyed side =
-    Option.bind
-      (Sqp_zorder.Zpacked.pack_array (Array.of_list (List.map fst side)))
-      (Sqp_zorder.Zkernel.sort_keyed ~comparisons)
+    Sqp_zorder.Zkernel.sort_keyed ~comparisons
+      (Array.of_list (List.map (fun (z, _) -> Sqp_zorder.Zpacked.of_bitstring z) side))
   in
-  match (keyed left, keyed right) with
-  | Some (perm_l, kl), Some (perm_r, kr) ->
-      let pl = Array.of_list (List.map snd left)
-      and pr = Array.of_list (List.map snd right) in
-      let out = ref [] in
-      let emit li ri = out := (pl.(perm_l.(li)), pr.(perm_r.(ri))) :: !out in
-      let st = Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kl kr emit in
-      ( List.rev !out,
-        {
-          pairs = st.Sqp_zorder.Zkernel.pairs;
-          items = Array.length pl + Array.length pr;
-          comparisons = !comparisons;
-        } )
-  | _ -> pairs_reference_impl left right
+  let perm_l, kl = keyed left and perm_r, kr = keyed right in
+  let pl = Array.of_list (List.map snd left)
+  and pr = Array.of_list (List.map snd right) in
+  let out = ref [] in
+  let emit li ri = out := (pl.(perm_l.(li)), pr.(perm_r.(ri))) :: !out in
+  let st = Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kl kr emit in
+  ( List.rev !out,
+    {
+      pairs = st.Sqp_zorder.Zkernel.pairs;
+      items = Array.length pl + Array.length pr;
+      comparisons = !comparisons;
+    } )
 
 let pairs left right = observed "zmerge.pairs" pairs_impl left right
 

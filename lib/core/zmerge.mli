@@ -11,18 +11,11 @@ val pairs :
   (Sqp_zorder.Element.t * 'a) list ->
   (Sqp_zorder.Element.t * 'b) list ->
   ('a * 'b) list * stats
-(** Stack-based single sweep, O(n log n + output).  Runs on the
-    word-key kernel ({!Sqp_zorder.Zkernel.sweep_pairs_keyed}) when every
-    z value fits one 63-bit word ([Zpacked.word_bits]) and on
-    {!pairs_reference} otherwise; both paths produce the same pairs in
-    the same order. *)
-
-val pairs_reference :
-  (Sqp_zorder.Element.t * 'a) list ->
-  (Sqp_zorder.Element.t * 'b) list ->
-  ('a * 'b) list * stats
-(** The list-based bitstring sweep (works for any z length) — the
-    differential oracle for {!pairs} and the benchmark baseline. *)
+(** Stack-based single sweep, O(n log n + output), on the word-key
+    kernel ({!Sqp_zorder.Zkernel.sweep_pairs_keyed}).  Pairs come out in
+    the order of the list-based bitstring sweep kept as the test oracle.
+    @raise Invalid_argument if an element is longer than
+    [Space.max_total_bits] (61) bits. *)
 
 val pairs_naive :
   (Sqp_zorder.Element.t * 'a) list ->

@@ -75,103 +75,27 @@ let nested_loop_impl r ~zr s ~zs =
 
 let nested_loop r ~zr s ~zs = observed "spatial_join.nested_loop" (fun () -> nested_loop_impl r ~zr s ~zs)
 
-type side = R | S
-
-let merge_reference_impl r ~zr s ~zs =
-  let schema = out_schema r s in
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let comparisons = ref 0 in
-  let items =
-    List.map (fun tu -> (zval_of sr zr tu, R, tu)) (Relation.tuples r)
-    @ List.map (fun tu -> (zval_of ss zs tu, S, tu)) (Relation.tuples s)
-  in
-  let items =
-    List.sort
-      (fun (za, _, _) (zb, _, _) ->
-        incr comparisons;
-        B.compare za zb)
-      items
-  in
-  (* Stacks of open (containing) elements per side; an element stays open
-     while the sweep position is within its z range, i.e. while it is a
-     prefix of the current item's z value. *)
-  let stack_r = ref [] and stack_s = ref [] in
-  let max_stack = ref 0 in
-  let note_depth () =
-    let d = List.length !stack_r + List.length !stack_s in
-    if d > !max_stack then max_stack := d
-  in
-  let pop_closed z stack =
-    let rec go = function
-      | (ze, _) :: rest when
-          (incr comparisons;
-           not (B.is_prefix ze z)) ->
-          go rest
-      | kept -> kept
-    in
-    stack := go !stack
-  in
-  let out = ref [] and pairs = ref 0 in
-  List.iter
-    (fun (z, side, tu) ->
-      pop_closed z stack_r;
-      pop_closed z stack_s;
-      (match side with
-      | R ->
-          List.iter
-            (fun (_, ts) ->
-              incr pairs;
-              out := Array.append tu ts :: !out)
-            !stack_s;
-          stack_r := (z, tu) :: !stack_r
-      | S ->
-          List.iter
-            (fun (_, tr) ->
-              incr pairs;
-              out := Array.append tr tu :: !out)
-            !stack_r;
-          stack_s := (z, tu) :: !stack_s);
-      note_depth ())
-    items;
-  ( Relation.make schema (List.rev !out),
-    {
-      pairs = !pairs;
-      comparisons = !comparisons;
-      sorted_items = List.length items;
-      max_stack = !max_stack;
-    } )
-
-let merge_reference r ~zr s ~zs =
-  observed "spatial_join.merge_reference" (fun () -> merge_reference_impl r ~zr s ~zs)
-
-(* Fast path: both sides' z values word-keyed, sorted by stable
-   permutation and swept with the flat-array kernel.  Tuple output —
-   content and order — is bit-identical to the reference sweep; any z
-   value wider than one 63-bit word falls back wholesale. *)
+(* Both sides' z values word-keyed, sorted by stable permutation and
+   swept with the flat-array kernel; ties take the R side first. *)
 let merge_impl r ~zr s ~zs =
   let sr = Relation.schema r and ss = Relation.schema s in
   let tr = Array.of_list (Relation.tuples r)
   and ts = Array.of_list (Relation.tuples s) in
   let comparisons = ref 0 in
   let keyed schema attr tuples =
-    Option.bind
-      (Sqp_zorder.Zpacked.pack_array (Array.map (zval_of schema attr) tuples))
-      (Sqp_zorder.Zkernel.sort_keyed ~comparisons)
+    let pack tu = Sqp_zorder.Zpacked.of_bitstring (zval_of schema attr tu) in
+    Sqp_zorder.Zkernel.sort_keyed ~comparisons (Array.map pack tuples)
   in
-  match (keyed sr zr tr, keyed ss zs ts) with
-  | Some (perm_r, kr), Some (perm_s, ks) ->
-      let out = ref [] in
-      let emit li ri =
-        out := Array.append tr.(perm_r.(li)) ts.(perm_s.(ri)) :: !out
-      in
-      let st = Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kr ks emit in
-      ( Relation.make (out_schema r s) (List.rev !out),
-        {
-          pairs = st.Sqp_zorder.Zkernel.pairs;
-          comparisons = !comparisons;
-          sorted_items = Array.length tr + Array.length ts;
-          max_stack = st.Sqp_zorder.Zkernel.max_stack;
-        } )
-  | _ -> merge_reference_impl r ~zr s ~zs
+  let perm_r, kr = keyed sr zr tr and perm_s, ks = keyed ss zs ts in
+  let out = ref [] in
+  let emit li ri = out := Array.append tr.(perm_r.(li)) ts.(perm_s.(ri)) :: !out in
+  let st = Sqp_zorder.Zkernel.sweep_pairs_keyed ~comparisons kr ks emit in
+  ( Relation.make (out_schema r s) (List.rev !out),
+    {
+      pairs = st.Sqp_zorder.Zkernel.pairs;
+      comparisons = !comparisons;
+      sorted_items = Array.length tr + Array.length ts;
+      max_stack = st.Sqp_zorder.Zkernel.max_stack;
+    } )
 
 let merge r ~zr s ~zs = observed "spatial_join.merge" (fun () -> merge_impl r ~zr s ~zs)

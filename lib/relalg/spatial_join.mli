@@ -24,17 +24,11 @@ type stats = {
 val merge :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
 (** Runs on the word-key kernel
-    ({!Sqp_zorder.Zkernel.sweep_pairs_keyed}) when every z value fits one
-    63-bit word ([Zpacked.word_bits]) and on {!merge_reference}
-    otherwise; both produce the same tuples in the same order.
+    ({!Sqp_zorder.Zkernel.sweep_pairs_keyed}); tuples come out in the
+    order of the list-based bitstring sweep kept as the test oracle.
     @raise Invalid_argument if attribute names of the two relations
-    clash (rename first) or the z attributes hold non-[Zval] values. *)
-
-val merge_reference :
-  Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats
-(** The list-based bitstring sweep (any z length) — the differential
-    oracle for {!merge} and the benchmark baseline.  Same preconditions
-    as {!merge}. *)
+    clash (rename first), the z attributes hold non-[Zval] values, or a
+    z value is longer than [Space.max_total_bits] (61) bits. *)
 
 val nested_loop :
   Relation.t -> zr:string -> Relation.t -> zs:string -> Relation.t * stats

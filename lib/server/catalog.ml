@@ -87,8 +87,6 @@ let of_seeded ?tuples_per_page ?pool_capacity ?shard ?(live_empty = false)
   let space = wk.W.space in
   (match shard with
   | Some (zlo, zhi) ->
-      if not (Z.Zrange.usable space) then
-        invalid_arg "Catalog.of_seeded: shard slicing needs a usable z space";
       if zlo > zhi || zlo < 0 then invalid_arg "Catalog.of_seeded: bad shard range"
   | None -> ());
   (* Points are pixels: each belongs to exactly one shard.  Join-side

@@ -32,8 +32,6 @@ let make ~epoch entries =
 
 let even_ranges space n =
   if n < 1 then invalid_arg "Shard_map.even_ranges: n < 1";
-  if not (Z.Zrange.usable space) then
-    invalid_arg "Shard_map.even_ranges: space deeper than 61 total bits";
   let total = 1 lsl Z.Space.total_bits space in
   if n > total then invalid_arg "Shard_map.even_ranges: more shards than cells";
   List.init n (fun i ->

@@ -2,8 +2,8 @@
     data, not configuration.
 
     A cluster partitions the full-resolution z keyspace of one
-    {!Sqp_zorder.Space} (which must satisfy {!Sqp_zorder.Zrange.usable},
-    i.e. at most 61 total bits) into contiguous, disjoint, ascending
+    {!Sqp_zorder.Space} (at most 61 bits, so every z value is an [int])
+    into contiguous, disjoint, ascending
     [entries], each owned by one [sqp serve] endpoint.  The [epoch]
     counts map changes: every rebalance installs a successor map with
     [epoch + 1], and shards reject forwarded requests stamped with any
@@ -39,8 +39,8 @@ val even_ranges : Sqp_zorder.Space.t -> int -> (int * int) list
     [0, 2^total_bits - 1] into [n] contiguous ranges — what
     [sqp serve --shard I/N] and [sqp route] both compute, so shard
     catalogs and the router's map agree by construction.
-    @raise Invalid_argument if [n < 1] or the space is not
-    {!Sqp_zorder.Zrange.usable}. *)
+    @raise Invalid_argument if [n < 1] or [n] exceeds the number of
+    cells. *)
 
 val even : Sqp_zorder.Space.t -> (string * int) list -> t
 (** Epoch-1 map assigning {!even_ranges} to the endpoints in order. *)
@@ -64,5 +64,4 @@ val read : Sqp_relalg.Wire.cursor -> t
 
 val z_of_point : Sqp_zorder.Space.t -> int array -> int
 (** Full-resolution z value of a point — the mutation-routing key.
-    @raise Invalid_argument if the space is not usable or the point is
-    outside the grid. *)
+    @raise Invalid_argument if the point is outside the grid. *)

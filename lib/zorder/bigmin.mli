@@ -8,7 +8,7 @@
     BIGMIN computes the same jump target {e without} materializing the
     decomposition, straight from the box corners (Tropf-Herzog style).
 
-    Requires [Space.total_bits <= 61] (integer z values). *)
+    Z values are integers ({!Space.make} caps a space at 61 bits). *)
 
 val in_box : Space.t -> lo:int array -> hi:int array -> int -> bool
 (** Does the pixel with the given z value lie in the coordinate box? *)

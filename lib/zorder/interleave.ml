@@ -25,7 +25,7 @@ let shuffle_prefixes space prefixes =
     (fun i (v, len) ->
       if len < 0 || len > d then
         invalid_arg "Interleave.shuffle_prefixes: bad prefix length";
-      if v < 0 || (len < 62 && v lsr len <> 0) then
+      if v < 0 || v lsr len <> 0 then
         invalid_arg "Interleave.shuffle_prefixes: prefix value does not fit";
       if i > 0 && len > lens.(i - 1) then
         invalid_arg "Interleave.shuffle_prefixes: lengths must be non-increasing")
@@ -51,15 +51,11 @@ let unshuffle space z =
   done;
   prefixes
 
-let rank space coords =
-  if Space.total_bits space > 62 then invalid_arg "Interleave.rank: space too deep";
-  Bitstring.to_int (shuffle space coords)
+let rank space coords = Bitstring.to_int (shuffle space coords)
 
 let point_of_rank space r =
   let k = Space.dims space and d = Space.depth space in
-  if Space.total_bits space > 62 then
-    invalid_arg "Interleave.point_of_rank: space too deep";
-  if r < 0 || (k * d < 62 && r lsr (k * d) <> 0) then
+  if r < 0 || r lsr (k * d) <> 0 then
     invalid_arg "Interleave.point_of_rank: rank out of range";
   let z = Bitstring.of_int r ~width:(k * d) in
   Array.map fst (unshuffle space z)

@@ -27,8 +27,7 @@ val unshuffle : Space.t -> Bitstring.t -> (int * int) array
 val rank : Space.t -> int array -> int
 (** [rank space coords] is the z value of a pixel read as an integer: the
     position of the pixel along the z curve (Figure 4; rank of [|3; 5|]
-    in a 2d depth-3 space is 27).
-    @raise Invalid_argument if [Space.total_bits space > 62]. *)
+    in a 2d depth-3 space is 27). *)
 
 val point_of_rank : Space.t -> int -> int array
 (** Inverse of {!rank}. *)

@@ -3,21 +3,28 @@
     The paper assumes a [2^d x ... x 2^d] grid in [k] dimensions, split
     recursively into equal halves with the split axis cycling
     [x, y, x, y, ...] (Section 3.1, assumptions 1-3).  A [Space.t] packages
-    [k] and [d]; every element / z-value operation takes one. *)
+    [k] and [d]; every element / z-value operation takes one.
+
+    A space has at most {!max_total_bits} = 61 bits per full-resolution z
+    value, so every z value — and every z interval bound — is one
+    non-negative OCaml [int]; {!Zpacked}, {!Zkernel}, {!Zrange} and
+    {!Bigmin} rely on it. *)
 
 type t = private { dims : int; depth : int }
 (** [dims] is k (number of dimensions), [depth] is d (bits per axis). *)
 
+val max_total_bits : int
+(** 61: the widest z value a space may have ([dims * depth]). *)
+
 val make : dims:int -> depth:int -> t
-(** @raise Invalid_argument unless [1 <= dims] and [0 <= depth] and
-    [dims * depth <= 512] (a sanity bound; z values get long). *)
+(** @raise Invalid_argument unless [1 <= dims], [0 <= depth] and
+    [dims * depth <= max_total_bits]. *)
 
 val dims : t -> int
 val depth : t -> int
 
 val side : t -> int
-(** [2^depth], the number of grid positions per axis.
-    @raise Invalid_argument if [depth > 61]. *)
+(** [2^depth], the number of grid positions per axis. *)
 
 val total_bits : t -> int
 (** [dims * depth]: the length of a full-resolution (pixel) z value. *)

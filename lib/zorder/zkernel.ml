@@ -1,41 +1,27 @@
-(* Flat-array kernels mirroring the list-based reference sweeps.  Control
-   flow — and therefore counter semantics — is kept in lockstep with the
-   bitstring implementations these accelerate; see the .mli notes and the
+(* Flat-array kernels mirroring the list-based bitstring sweeps kept as
+   test oracles (test/oracle).  Control flow — and therefore counter
+   semantics — is kept in lockstep with them; see the .mli notes and the
    differential suite in test/test_zkernel.ml.
 
-   The kernels run only when every value fits a single 63-bit word.  Such
-   a "narrow" z value is word-encoded as [w0 lxor min_int] — flipping the
-   sign bit turns unsigned word order into signed order — so the hot
-   loops run over plain [int array]s where a z comparison is one machine
-   comparison and a prefix test is one masked xor.  Anything wider stays
-   on the callers' bitstring reference paths. *)
+   A z value is word-encoded as its Zpacked word: the value zero-padded
+   to Space.max_total_bits bits, a non-negative int whose native order is
+   z order up to exact-prefix ties.  The hot loops run over plain
+   [int array]s where a z comparison is one machine comparison and a
+   prefix test is one masked xor. *)
 
 module P = Zpacked
 
-(* Signed-order-preserving word key of a narrow value. *)
-let key (z : P.t) = z.P.w0 lxor min_int
+let width = Space.max_total_bits
 
-let narrow (z : P.t) = z.P.len <= P.word_bits
-
-(* Top-[n] bits of a 63-bit word (0 <= n <= 63); [lsl] by 63 is
-   unspecified, hence the guard.  Mirrors Zpacked's private helper. *)
-let mask_first n = if n = 0 then 0 else -1 lsl (P.word_bits - n)
+(* Top-[n] bits of the [width]-bit field (0 <= n <= width).  Mirrors
+   Zpacked's private helper. *)
+let mask_first n = ((1 lsl n) - 1) lsl (width - n)
 
 let element_keys ~total (z : P.t) =
-  if total > P.word_bits || z.P.len > total then
-    invalid_arg "Zkernel.element_keys";
+  if total > width || z.P.len > total then invalid_arg "Zkernel.element_keys";
   (* Scan range of the element: zero-padding leaves the word unchanged,
      one-padding sets the bits between len and total. *)
-  (key z, (z.P.w0 lor (mask_first total lxor mask_first z.P.len)) lxor min_int)
-
-let uniform_word_keys zs =
-  let n = Array.length zs in
-  if n = 0 then None
-  else
-    let len0 = zs.(0).P.len in
-    if len0 <= P.word_bits && Array.for_all (fun (z : P.t) -> z.P.len = len0) zs
-    then Some (Array.map key zs)
-    else None
+  (z.P.w, z.P.w lor (mask_first total lxor mask_first z.P.len))
 
 (* {1 Sorting} *)
 
@@ -145,7 +131,7 @@ let radix_sort a ~nbits =
 (* Stable mergesort of the permutation [a] by [(ks, ls)], all comparisons
    inlined int-array reads — no closure per probe, which is most of the
    win over [Array.stable_sort] on boxed values. *)
-let sort_perm_narrow ~comparisons ks ls n =
+let sort_perm ~comparisons ks ls n =
   let a = Array.init n (fun i -> i) in
   let tmp = Array.make n 0 in
   let rec sort lo hi =
@@ -188,14 +174,13 @@ let sort_perm_narrow ~comparisons ks ls n =
   sort 0 n;
   a
 
-(* The sweep's working form of an all-narrow batch, already z-sorted:
-   word key, length and prefix mask of each value in flat int arrays. *)
+(* The sweep's working form of a batch, already z-sorted: word key,
+   length and prefix mask of each value in flat int arrays. *)
 type keyed = { kks : int array; kls : int array; kms : int array }
 
 let sort_keyed ~comparisons zs =
   let n = Array.length zs in
-  if not (Array.for_all narrow zs) then None
-  else if n = 0 then Some ([||], { kks = [||]; kls = [||]; kms = [||] })
+  if n = 0 then ([||], { kks = [||]; kls = [||]; kms = [||] })
   else begin
     let maxlen =
       Array.fold_left (fun m (z : P.t) -> if z.P.len > m then z.P.len else m) 0 zs
@@ -215,7 +200,7 @@ let sort_keyed ~comparisons zs =
       let enc =
         Array.init n (fun i ->
             let z = zs.(i) in
-            ((z.P.w0 lsr (P.word_bits - maxlen)) lsl (6 + ib))
+            ((z.P.w lsr (width - maxlen)) lsl (6 + ib))
             lor (z.P.len lsl ib) lor i)
       in
       if n < 64 then sort_ints ~comparisons enc
@@ -223,29 +208,28 @@ let sort_keyed ~comparisons zs =
       let imask = (1 lsl ib) - 1 in
       let perm = Array.make n 0 in
       let kks = Array.make n 0 and kls = Array.make n 0 and kms = Array.make n 0 in
-      let shift = P.word_bits - maxlen in
+      let shift = width - maxlen in
       for r = 0 to n - 1 do
         let e = enc.(r) in
         perm.(r) <- e land imask;
         let len = (e lsr ib) land 63 in
         kls.(r) <- len;
         kms.(r) <- mask_first len;
-        kks.(r) <- ((e lsr (6 + ib)) lsl shift) lxor min_int
+        kks.(r) <- (e lsr (6 + ib)) lsl shift
       done;
-      Some (perm, { kks; kls; kms })
+      (perm, { kks; kls; kms })
     end
     else begin
       (* Word keys break all but exact-prefix ties; lengths settle those. *)
-      let ks = Array.map key zs
+      let ks = Array.map (fun (z : P.t) -> z.P.w) zs
       and ls = Array.map (fun (z : P.t) -> z.P.len) zs in
-      let perm = sort_perm_narrow ~comparisons ks ls n in
-      Some
-        ( perm,
-          {
-            kks = Array.map (fun i -> ks.(i)) perm;
-            kls = Array.map (fun i -> ls.(i)) perm;
-            kms = Array.map (fun i -> mask_first ls.(i)) perm;
-          } )
+      let perm = sort_perm ~comparisons ks ls n in
+      ( perm,
+        {
+          kks = Array.map (fun i -> ks.(i)) perm;
+          kls = Array.map (fun i -> ls.(i)) perm;
+          kms = Array.map (fun i -> mask_first ls.(i)) perm;
+        } )
     end
   end
 
@@ -253,7 +237,7 @@ let sort_keyed ~comparisons zs =
 
 type sweep_stats = { pairs : int; max_stack : int }
 
-(* The reference containment sweep (one open-element stack per side,
+(* The oracle's containment sweep (one open-element stack per side,
    same counters), with every z as (key, len, prefix mask) in three flat
    int arrays: the merge head is one word comparison (plus a length
    comparison on exact-word ties) and a stack pop test is one masked xor.
@@ -339,9 +323,9 @@ type range_counters = {
   comparisons : int;
 }
 
-(* Point z values all share one narrow length and range bounds are padded
-   to that same length, so every comparison in the merge is between
-   equal-length narrow values: word order alone decides. *)
+(* Point z values all share one length and range bounds are padded to
+   that same length, so every comparison in the merge is between
+   equal-length values: word order alone decides. *)
 type key_ranges = { klo : int array; khi : int array }
 
 let range_plain_keys ks { klo; khi } emit =

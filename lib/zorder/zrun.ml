@@ -42,7 +42,7 @@ let encode ?(restart_interval = 16) ?fixed_len zs =
   (match fixed_len with
   | None -> ()
   | Some l ->
-      if l < 0 || l > P.max_bits then err "fixed length %d out of range" l;
+      if l < 0 || l > Space.max_total_bits then err "fixed length %d out of range" l;
       Array.iter
         (fun z ->
           if P.length z <> l then
@@ -105,6 +105,9 @@ let of_string ?(pos = 0) ?len data =
     err "truncated run header";
   let flags = u8 data pos in
   let fixed = if flags land flag_fixed <> 0 then Some (u8 data (pos + 1)) else None in
+  (match fixed with
+  | Some l when l > Space.max_total_bits -> err "fixed length %d beyond 61 bits" l
+  | _ -> ());
   let interval = u8 data (pos + 2) in
   let count = u16 data (pos + 3) in
   let n_restarts = u16 data (pos + 5) in
@@ -168,7 +171,7 @@ let next c =
           c.pos <- c.pos + 1;
           l
     in
-    if len > P.max_bits then err "entry %d: length %d beyond max_bits" c.idx len;
+    if len > Space.max_total_bits then err "entry %d: length %d beyond 61 bits" c.idx len;
     if shared > len then err "entry %d: shared prefix %d > length %d" c.idx shared len;
     if (not at_restart) && shared > P.length c.prev then
       err "entry %d: shared prefix %d longer than predecessor" c.idx shared;

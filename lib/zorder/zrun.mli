@@ -30,6 +30,9 @@
     [Space.total_bits] long), so per-entry length bytes are elided —
     this is what pushes the compression ratio past the 1.5x bar.
 
+    No value is longer than {!Space.max_total_bits} (61) bits, so a
+    fixed length or entry length above that is corruption.
+
     Consumers: v3 {!Sqp_btree.Persist} data pages and [Live] checkpoint
     base chunks. *)
 
@@ -42,17 +45,18 @@ val encode : ?restart_interval:int -> ?fixed_len:int -> Zpacked.t array -> t
 (** Front-code the values in the order given.  [restart_interval]
     defaults to 16 and must be in [\[1, 255\]]; pass [fixed_len] when
     every value has exactly that bit length to elide per-entry lengths.
-    @raise Invalid_argument on more than 65535 values, a length
-    mismatch in fixed mode, or a body too large for 16-bit restart
-    offsets. *)
+    @raise Invalid_argument on more than 65535 values, a fixed length
+    above 61, a length mismatch in fixed mode, or a body too large for
+    16-bit restart offsets. *)
 
 val to_string : t -> string
 (** The serialized bytes, self-contained (header included). *)
 
 val of_string : ?pos:int -> ?len:int -> string -> t
 (** Parse a run serialized at [pos] (default 0) spanning [len] bytes
-    (default: to the end of the string).  Validates the header and
-    restart-table shape only — use {!validate} for a full structural
+    (default: to the end of the string).  Validates the header (a fixed
+    length of at most 61 bits) and restart-table shape only — use
+    {!validate} for a full structural
     walk (fsck does).
     @raise Invalid_argument on a malformed header. *)
 
@@ -100,7 +104,8 @@ val cursor_index : cursor -> int
 val next : cursor -> Zpacked.t option
 (** The next value, or [None] past the end.
     @raise Invalid_argument on a corrupt entry (truncated suffix,
-    shared prefix longer than the predecessor, ...). *)
+    shared prefix longer than the predecessor, length above 61 bits,
+    ...). *)
 
 (** {1 Integrity} *)
 

@@ -584,6 +584,63 @@ let join_differential seed () =
   check "join pairs agree" true
     (List.sort compare expect = List.sort compare got)
 
+(* A store written record by record: the 'M' metadata record for a
+   [dims] x [depth] space, then [records]. *)
+let write_store path ~dims ~depth records =
+  let m = Buffer.create 16 in
+  Buffer.add_char m 'M';
+  Buffer.add_string m "SQPL1";
+  Buffer.add_uint8 m dims;
+  Buffer.add_uint8 m depth;
+  Buffer.add_int64_be m 0L;
+  let s = Sqp_storage.File_pager.create ~page_bytes:1024 path in
+  List.iter
+    (fun r -> ignore (Sqp_storage.File_pager.alloc s r))
+    (Buffer.to_bytes m :: records);
+  Sqp_storage.File_pager.close s
+
+(* A checksum-valid 'M' record naming a space Space.make refuses (no
+   dimensions, or wider than 61 bits) makes the store corrupt, not an
+   Invalid_argument escaping from Space.make. *)
+let bad_metadata_space () =
+  List.iter
+    (fun (dims, depth) ->
+      with_store "badspace" (fun path ->
+          write_store path ~dims ~depth [];
+          match L.open_durable ~encode ~decode ~path () with
+          | t ->
+              L.close t;
+              Alcotest.failf "%dx%d space: expected Storage_error.Corrupt" dims depth
+          | exception Sqp_storage.Storage_error.Corrupt _ -> ()))
+    [ (0, 8); (2, 31) ]
+
+(* Checkpoints write front-coded 'Z' base chunks; stores written before
+   compression hold fixed-width 'B' chunks (part:u32 count:u16, then per
+   entry each coordinate as u32 and a u16-length payload), which must
+   still load. *)
+let legacy_base_chunks () =
+  with_store "legacybase" (fun path ->
+      let entries =
+        List.sort
+          (fun (p, _) (q, _) ->
+            compare (Z.Interleave.rank space p) (Z.Interleave.rank space q))
+          [ ([| 200; 100 |], 30); ([| 1; 2 |], 10); ([| 3; 5 |], 20) ]
+      in
+      let b = Buffer.create 64 in
+      Buffer.add_char b 'B';
+      Buffer.add_int32_be b 0l;
+      Buffer.add_uint16_be b (List.length entries);
+      List.iter
+        (fun (p, v) ->
+          Array.iter (fun c -> Buffer.add_int32_be b (Int32.of_int c)) p;
+          Buffer.add_uint16_be b (String.length (encode v));
+          Buffer.add_string b (encode v))
+        entries;
+      write_store path ~dims:2 ~depth:8 [ Buffer.to_bytes b ];
+      let t = L.open_durable ~encode ~decode ~path () in
+      check "entries in z order" true (entries_of t = entries);
+      L.close t)
+
 let () =
   Alcotest.run "ingest"
     [
@@ -615,7 +672,11 @@ let () =
                 (Printf.sprintf "transparent flaky I/O (seed %d)" seed)
                 `Quick (seeded_faults seed);
             ])
-          seeds );
+          seeds
+        @ [
+            Alcotest.test_case "bad metadata space is corrupt" `Quick bad_metadata_space;
+            Alcotest.test_case "fixed-width base chunks load" `Quick legacy_base_chunks;
+          ] );
       ( "online build",
         List.concat_map
           (fun seed ->

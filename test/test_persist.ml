@@ -533,6 +533,27 @@ let test_v3_salvage_then_lenient_load () =
           check "compressed geometry recovered" true
             (Zindex.page_budget loaded = Some 512)))
 
+(* A checksum-valid store whose v3 metadata page names a space
+   Space.make refuses — no dimensions, or wider than 61 bits — is a
+   corrupt store to both the loader and fsck's inspection, not an
+   Invalid_argument escaping from Space.make. *)
+let test_bad_metadata_space () =
+  List.iter
+    (fun (dims, depth) ->
+      with_file "badspace" (fun path ->
+          let meta = Bytes.make 20 '\000' in
+          Bytes.blit_string "SQPZ" 0 meta 0 4;
+          Bytes.set_uint8 meta 4 dims;
+          Bytes.set_uint8 meta 5 depth;
+          Bytes.set_uint16_be meta 6 16;
+          let s = FP.create ~page_bytes:256 path in
+          ignore (FP.alloc s meta);
+          FP.close s;
+          check "page store itself is clean" true (Fsck.clean (Fsck.scan path));
+          expect_corrupt "load" (fun () -> Persist.load ~path ~decode:int_of_string ());
+          expect_corrupt "inspect" (fun () -> Persist.inspect ~path ())))
+    [ (0, 8); (2, 31) ]
+
 let () =
   Alcotest.run "persist"
     [
@@ -588,5 +609,7 @@ let () =
             test_inspect_reports_bad_page;
           Alcotest.test_case "v3 salvage + lenient load" `Quick
             test_v3_salvage_then_lenient_load;
+          Alcotest.test_case "bad metadata space is corrupt" `Quick
+            test_bad_metadata_space;
         ] );
     ]

@@ -32,7 +32,14 @@ let test_space_invalid () =
       (fun () -> Z.Space.make ~dims:0 ~depth:3);
       (fun () -> Z.Space.make ~dims:2 ~depth:(-1));
       (fun () -> Z.Space.make ~dims:100 ~depth:100);
-    ]
+      (fun () -> Z.Space.make ~dims:2 ~depth:31);
+      (fun () -> Z.Space.make ~dims:62 ~depth:1);
+    ];
+  (* 61 bits is the widest space, in any shape. *)
+  List.iter
+    (fun (dims, depth) ->
+      check_int "61 bits accepted" 61 (Z.Space.total_bits (Z.Space.make ~dims ~depth)))
+    [ (1, 61); (61, 1) ]
 
 let test_shuffle_paper_example () =
   (* Figure 4: [3, 5] -> (011, 101) -> 011011 = 27. *)

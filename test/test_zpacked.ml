@@ -1,6 +1,6 @@
 (* Differential fuzz: Zpacked must agree with Bitstring — the reference
-   representation — on every observation, wherever both apply (lengths up
-   to Zpacked.max_bits), and refuse (None) beyond. *)
+   representation — on every observation for every length up to
+   Space.max_total_bits (61), and refuse anything longer. *)
 
 module Z = Sqp_zorder
 module B = Z.Bitstring
@@ -10,10 +10,14 @@ module Rng = Sqp_workload.Rng
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let pack_exn b =
-  match P.of_bitstring b with
-  | Some p -> p
-  | None -> Alcotest.failf "of_bitstring refused %d bits" (B.length b)
+let max_bits = Z.Space.max_total_bits
+
+let pack_exn = P.of_bitstring
+
+let refused what f =
+  match f () with
+  | _ -> Alcotest.failf "%s should raise" what
+  | exception Invalid_argument _ -> ()
 
 let random_bits rng len = B.init len (fun _ -> Rng.bool rng)
 
@@ -21,12 +25,12 @@ let random_bits rng len = B.init len (fun _ -> Rng.bool rng)
    perturbations near the end, shared long prefixes — plus independent
    strings. *)
 let random_pair rng =
-  let a = random_bits rng (Rng.int rng (P.max_bits + 1)) in
+  let a = random_bits rng (Rng.int rng (max_bits + 1)) in
   let b =
     match Rng.int rng 4 with
     | 0 ->
         (* extension of a *)
-        let extra = Rng.int rng (P.max_bits + 1 - B.length a) in
+        let extra = Rng.int rng (max_bits + 1 - B.length a) in
         B.concat a (random_bits rng extra)
     | 1 when not (B.is_empty a) ->
         (* flip one bit *)
@@ -35,7 +39,7 @@ let random_pair rng =
     | 2 when not (B.is_empty a) ->
         (* a prefix of a *)
         B.take a (Rng.int rng (B.length a + 1))
-    | _ -> random_bits rng (Rng.int rng (P.max_bits + 1))
+    | _ -> random_bits rng (Rng.int rng (max_bits + 1))
   in
   (a, b)
 
@@ -58,7 +62,7 @@ let test_agree_with_bitstring () =
 let test_observation_roundtrip () =
   let rng = Rng.create ~seed:77001 in
   for _ = 1 to 500 do
-    let a = random_bits rng (Rng.int rng (P.max_bits + 1)) in
+    let a = random_bits rng (Rng.int rng (max_bits + 1)) in
     let pa = pack_exn a in
     check_int "length" (B.length a) (P.length pa);
     for i = 0 to B.length a - 1 do
@@ -70,48 +74,40 @@ let test_observation_roundtrip () =
 let test_pad_to () =
   let rng = Rng.create ~seed:31337 in
   for _ = 1 to 500 do
-    let a = random_bits rng (Rng.int rng (P.max_bits + 1)) in
+    let a = random_bits rng (Rng.int rng (max_bits + 1)) in
     let pa = pack_exn a in
-    let n = Rng.int_in rng (B.length a) P.max_bits in
+    let n = Rng.int_in rng (B.length a) max_bits in
     List.iter
       (fun bit ->
         check "pad_to agrees" true
           (B.equal (P.to_bitstring (P.pad_to pa n bit)) (B.pad_to a n bit)))
       [ false; true ]
   done;
-  (match P.pad_to (pack_exn (B.of_string "01")) 1 false with
-  | _ -> Alcotest.fail "pad_to shorter should raise"
-  | exception Invalid_argument _ -> ());
-  match P.pad_to P.empty (P.max_bits + 1) true with
-  | _ -> Alcotest.fail "pad_to beyond max_bits should raise"
-  | exception Invalid_argument _ -> ()
+  refused "pad_to shorter" (fun () -> P.pad_to (pack_exn (B.of_string "01")) 1 false);
+  refused "pad_to beyond 61 bits" (fun () -> P.pad_to P.empty (max_bits + 1) true)
 
-let test_fallback_boundary () =
+let test_long_refused () =
   let rng = Rng.create ~seed:555 in
-  (* exactly max_bits packs... *)
-  let at = random_bits rng P.max_bits in
-  check "126 bits pack" true (P.of_bitstring at <> None);
-  check "126-bit roundtrip" true
-    (B.equal (P.to_bitstring (pack_exn at)) at);
-  (* ...one more does not *)
-  let over = random_bits rng (P.max_bits + 1) in
-  check "127 bits refused" true (P.of_bitstring over = None);
-  (* pack_array is all-or-nothing *)
-  check "pack_array ok" true (P.pack_array [| at; B.empty |] <> None);
-  check "pack_array refuses the whole batch" true
-    (P.pack_array [| at; over; B.empty |] = None)
+  (* exactly 61 bits packs... *)
+  let at = random_bits rng max_bits in
+  check "61-bit roundtrip" true (B.equal (P.to_bitstring (pack_exn at)) at);
+  (* ...one more does not, however it is built *)
+  refused "of_bitstring 62 bits" (fun () -> P.of_bitstring (random_bits rng (max_bits + 1)));
+  refused "append past 61 bits" (fun () ->
+      P.append_bytes (pack_exn at) ~bytes:"\x80" ~pos:0 ~nbits:1)
 
 let test_word_boundary_cases () =
-  (* Hand-picked strings straddling the w0/w1 boundary at bit 63. *)
+  (* Hand-picked strings at the bottom of the word, where the last bits
+     of a 61-bit value live. *)
   let zeros n = B.init n (fun _ -> false) in
   let ones n = B.init n (fun _ -> true) in
   let cases =
     [
-      zeros 62; zeros 63; zeros 64; ones 62; ones 63; ones 64;
-      B.concat (zeros 63) (ones 1);
-      B.concat (ones 63) (zeros 1);
-      B.concat (zeros 62) (ones 64);
-      ones 126; zeros 126; B.empty;
+      zeros 59; zeros 60; zeros 61; ones 59; ones 60; ones 61;
+      B.concat (zeros 60) (ones 1);
+      B.concat (ones 60) (zeros 1);
+      B.concat (zeros 30) (ones 31);
+      B.empty;
     ]
   in
   List.iter
@@ -131,15 +127,14 @@ let test_shuffle_unshuffle () =
   let spaces =
     [
       Z.Space.make ~dims:2 ~depth:10;
-      Z.Space.make ~dims:2 ~depth:31;
-      Z.Space.make ~dims:3 ~depth:42; (* exactly 126 bits *)
+      Z.Space.make ~dims:2 ~depth:30;
+      Z.Space.make ~dims:3 ~depth:20;
       Z.Space.make ~dims:1 ~depth:61;
-      Z.Space.make ~dims:7 ~depth:18; (* 126 bits, odd arity *)
+      Z.Space.make ~dims:7 ~depth:8; (* odd arity *)
     ]
   in
   List.iter
     (fun space ->
-      check "fits" true (P.fits_space space);
       for _ = 1 to 100 do
         let coords =
           Array.init (Z.Space.dims space) (fun _ ->
@@ -161,20 +156,28 @@ let test_shuffle_unshuffle () =
       (P.unshuffle space (pack_exn z) = Z.Interleave.unshuffle space z)
   done
 
-let test_fits_space () =
-  check "2x10 fits" true (P.fits_space (Z.Space.make ~dims:2 ~depth:10));
-  check "3x42 fits (126)" true (P.fits_space (Z.Space.make ~dims:3 ~depth:42));
-  check "127 bits does not" false (P.fits_space (Z.Space.make ~dims:127 ~depth:1));
-  check "2x64 does not" false (P.fits_space (Z.Space.make ~dims:2 ~depth:64));
-  match P.shuffle (Z.Space.make ~dims:2 ~depth:64) [| 0; 0 |] with
-  | _ -> Alcotest.fail "shuffle on an oversized space should raise"
-  | exception Invalid_argument _ -> ()
+let test_widest_spaces_pack () =
+  (* In a 61-bit space the word of a pixel's z value is its z-curve
+     rank; narrower spaces shift it up to the top of the word. *)
+  List.iter
+    (fun (dims, depth) ->
+      let space = Z.Space.make ~dims ~depth in
+      let total = Z.Space.total_bits space in
+      List.iter
+        (fun c ->
+          let coords = Array.make dims c in
+          check_int "word = rank, top-aligned"
+            (Z.Interleave.rank space coords lsl (max_bits - total))
+            (P.shuffle space coords).P.w)
+        [ 0; 1; Z.Space.side space - 1 ])
+    [ (1, 61); (2, 30); (3, 20); (61, 1) ];
+  refused "a 62-bit space" (fun () -> Z.Space.make ~dims:2 ~depth:31)
 
 let test_order_is_total () =
   (* Sorting packed and reference representations of the same set must
      produce the same sequence. *)
   let rng = Rng.create ~seed:60902 in
-  let bits = Array.init 500 (fun _ -> random_bits rng (Rng.int rng 127)) in
+  let bits = Array.init 500 (fun _ -> random_bits rng (Rng.int rng (max_bits + 1))) in
   let packed = Array.map pack_exn bits in
   let b = Array.copy bits and p = Array.copy packed in
   Array.sort B.compare b;
@@ -189,7 +192,7 @@ let test_order_is_total () =
 let test_surgery_roundtrip () =
   let rng = Rng.create ~seed:880 in
   for _ = 1 to 800 do
-    let a = random_bits rng (Rng.int rng (P.max_bits + 1)) in
+    let a = random_bits rng (Rng.int rng (max_bits + 1)) in
     let pa = pack_exn a in
     let s = Rng.int rng (B.length a + 1) in
     check "take agrees" true
@@ -217,9 +220,9 @@ let test_surgery_roundtrip () =
   (* grafting a suffix onto a different prefix keeps exactly those bits *)
   let rng = Rng.create ~seed:881 in
   for _ = 1 to 300 do
-    let a = pack_exn (random_bits rng (Rng.int rng (P.max_bits + 1))) in
+    let a = pack_exn (random_bits rng (Rng.int rng (max_bits + 1))) in
     let s = Rng.int rng (P.length a + 1) in
-    let prefix_len = Rng.int rng (P.max_bits - (P.length a - s) + 1) in
+    let prefix_len = Rng.int rng (max_bits - (P.length a - s) + 1) in
     let prefix = pack_exn (random_bits rng prefix_len) in
     let tail = P.length a - s in
     let grafted =
@@ -246,9 +249,9 @@ let test_surgery_guards () =
   (match P.suffix_bytes p ~pos:(-1) with
   | _ -> Alcotest.fail "negative suffix_bytes pos should raise"
   | exception Invalid_argument _ -> ());
-  let full = pack_exn (B.init P.max_bits (fun _ -> true)) in
+  let full = pack_exn (B.init max_bits (fun _ -> true)) in
   (match P.append_bytes full ~bytes:"\xff" ~pos:0 ~nbits:1 with
-  | _ -> Alcotest.fail "append past max_bits should raise"
+  | _ -> Alcotest.fail "append past 61 bits should raise"
   | exception Invalid_argument _ -> ());
   (match P.append_bytes P.empty ~bytes:"\xff" ~pos:0 ~nbits:9 with
   | _ -> Alcotest.fail "append past the buffer should raise"
@@ -257,15 +260,15 @@ let test_surgery_guards () =
   check "empty suffix of empty" true (P.suffix_bytes P.empty ~pos:0 = "");
   check "append nothing" true
     (P.equal p (P.append_bytes p ~bytes:"" ~pos:0 ~nbits:0));
-  check_int "append up to max_bits" P.max_bits
+  check_int "append up to 61 bits" max_bits
     (P.length
-       (P.append_bytes (P.take full 120)
-          ~bytes:(P.suffix_bytes full ~pos:120) ~pos:0 ~nbits:6))
+       (P.append_bytes (P.take full 55)
+          ~bytes:(P.suffix_bytes full ~pos:55) ~pos:0 ~nbits:6))
 
 let test_hash_consistent () =
   let rng = Rng.create ~seed:11 in
   for _ = 1 to 200 do
-    let a = random_bits rng (Rng.int rng 127) in
+    let a = random_bits rng (Rng.int rng (max_bits + 1)) in
     check_int "hash stable across conversions" (P.hash (pack_exn a))
       (P.hash (pack_exn (P.to_bitstring (pack_exn a))))
   done
@@ -282,9 +285,9 @@ let () =
         ] );
       ( "boundaries",
         [
-          Alcotest.test_case ">126-bit fallback" `Quick test_fallback_boundary;
+          Alcotest.test_case "longer than one word refused" `Quick test_long_refused;
           Alcotest.test_case "word straddling" `Quick test_word_boundary_cases;
-          Alcotest.test_case "fits_space" `Quick test_fits_space;
+          Alcotest.test_case "widest spaces pack" `Quick test_widest_spaces_pack;
         ] );
       ( "interleaving",
         [

@@ -7,10 +7,22 @@ let check_int = Alcotest.(check int)
 
 let s23 = Z.Space.make ~dims:2 ~depth:3
 
+(* Every space Space.make accepts has integer z values: the widest ones
+   (61 and 60 bits) round-trip their root and last pixel, and a 62-bit
+   space is refused at construction. *)
 let test_usable () =
-  check "2d depth 3" true (R.usable s23);
-  check "2d depth 30" true (R.usable (Z.Space.make ~dims:2 ~depth:30));
-  check "2d depth 31 too deep" false (R.usable (Z.Space.make ~dims:2 ~depth:31))
+  List.iter
+    (fun (dims, depth) ->
+      let space = Z.Space.make ~dims ~depth in
+      let top = (1 lsl Z.Space.total_bits space) - 1 in
+      Alcotest.(check (pair int int)) "root" (0, top) (R.of_element space B.empty);
+      let last = Z.Element.pixel space (Array.make dims (Z.Space.side space - 1)) in
+      Alcotest.(check (pair int int)) "last pixel" (top, top) (R.of_element space last);
+      check "cover of the whole space" true (R.cover space ~lo:0 ~hi:top = [ B.empty ]))
+    [ (2, 3); (1, 61); (2, 30) ];
+  match Z.Space.make ~dims:2 ~depth:31 with
+  | _ -> Alcotest.fail "a 62-bit space should be refused"
+  | exception Invalid_argument _ -> ()
 
 let test_of_element () =
   Alcotest.(check (pair int int)) "001" (8, 15) (R.of_element s23 (B.of_string "001"));

@@ -11,8 +11,7 @@ module W = Sqp_workload
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let pack_exn b =
-  match P.of_bitstring b with Some p -> p | None -> assert false
+let pack_exn = P.of_bitstring
 
 (* Sorted full-resolution z values of [n] seeded points. *)
 let seeded_zs n =
@@ -123,7 +122,10 @@ let test_encode_guards () =
   | exception Invalid_argument _ -> ());
   (match Run.encode ~fixed_len:8 [| pack_exn (B.of_string "101") |] with
   | _ -> Alcotest.fail "length mismatch should raise"
-  | exception Invalid_argument _ -> ())
+  | exception Invalid_argument _ -> ());
+  match Run.encode ~fixed_len:62 [||] with
+  | _ -> Alcotest.fail "fixed length beyond 61 bits should raise"
+  | exception Invalid_argument _ -> ()
 
 let test_corruption_detected () =
   let _, zs = seeded_zs 400 in
@@ -157,6 +159,23 @@ let test_corruption_detected () =
   (match Run.of_string (Bytes.to_string b) with
   | exception Invalid_argument _ -> ()
   | run' -> check "oversized shared prefix rejected" true (Run.validate run' <> Ok ()));
+  (* No z value is longer than 61 bits: a length byte beyond that is
+     corruption, in a variable-mode entry (after the 7-byte header and
+     the one 2-byte restart offset) and in a fixed-length header. *)
+  let one mode =
+    let run = Run.encode ?fixed_len:mode [| pack_exn (B.of_string "10110011") |] in
+    let b = Bytes.of_string (Run.to_string run) in
+    Bytes.set_uint8 b (if mode = None then 9 else 1) 62;
+    Bytes.to_string b
+  in
+  let run' = Run.of_string (one None) in
+  check "62-bit entry fails validation" true (Run.validate run' <> Ok ());
+  (match Run.decode run' with
+  | _ -> Alcotest.fail "62-bit entry should not decode"
+  | exception Invalid_argument _ -> ());
+  (match Run.of_string (one (Some 8)) with
+  | _ -> Alcotest.fail "62-bit fixed-length header should not parse"
+  | exception Invalid_argument _ -> ());
   (* Truncations are caught by parse or validate. *)
   for cut = 1 to 40 do
     let t = String.sub s 0 (String.length s - cut) in
